@@ -1003,21 +1003,14 @@ class FlatBatch(Enumerator):
         """All ``(key, states)`` solutions in DFS preorder.
 
         Dispatches to the numpy level-expansion kernel when it applies:
-        a CSR-backed core (``conn_offsets`` present — per-fragment
-        ``ShardCompiled`` cores keep the scalar path), no visit counting
-        (the counter increments per intermediate tuple, which the
-        vectorized expansion never materialises one at a time), numpy
-        available.  Both paths produce the identical list — same DFS
-        preorder, same left-fold float additions.
+        no visit counting (the counter increments per intermediate
+        tuple, which the vectorized expansion never materialises one at
+        a time) and numpy available.  Both paths produce the identical
+        list — same DFS preorder, same left-fold float additions.
         """
         compiled = self.compiled
         np = vec.np
-        if (
-            np is not None
-            and counter is None
-            and not compiled.empty
-            and compiled.conn_offsets is not None
-        ):
+        if np is not None and counter is None and not compiled.empty:
             return self._solutions_vec(np)
         return list(self._solutions(counter))
 
@@ -1035,15 +1028,16 @@ class FlatBatch(Enumerator):
         num_stages = compiled.num_stages
         parent_stage = compiled.parent_stage
         root_uid = compiled.root_uid
-        offsets = np.asarray(compiled.conn_offsets)
-        entry_state = np.asarray(compiled.entry_state)
+        conn_offsets, csr_states = compiled.csr()
+        offsets = np.asarray(conn_offsets)
+        entry_state = np.asarray(csr_states)
         values_key = [
             np.asarray(v, dtype=np.float64) for v in compiled.values_key
         ]
 
         uid0 = root_uid[0]
-        lo = compiled.conn_offsets[uid0]
-        hi = compiled.conn_offsets[uid0 + 1]
+        lo = conn_offsets[uid0]
+        hi = conn_offsets[uid0 + 1]
         states0 = entry_state[lo:hi]
         acc = 0.0 + values_key[0][states0]
         paths = states0.reshape(-1, 1)

@@ -8,9 +8,11 @@ objects grouping child states by join value, keeping the graph at
 O(l*n) size and *sharing* all ranking data structures between parent
 states with the same join value.
 
-For enumeration, a built T-DP is lowered once (per database version)
-into the flat :class:`repro.dp.flat.CompiledTDP` arrays whenever the
-ranking dioid supports key-space arithmetic; see :mod:`repro.dp.flat`.
+For enumeration, the engine binds straight into the flat
+:class:`repro.dp.flat.CompiledTDP` arrays (once per database version)
+whenever the ranking dioid supports key-space arithmetic, without the
+object graph; a user-built T-DP is lowered by :func:`compile_tdp`.  See
+:mod:`repro.dp.flat`.
 """
 
 from repro.dp.builder import build_tdp, build_tdp_for_query

@@ -1,4 +1,4 @@
-"""Zero-copy compiled-core buffers: shared memory, mmap persistence.
+"""Zero-copy compiled-core persistence: section buffers over an mmap.
 
 A :class:`~repro.dp.flat.CompiledTDP` is, deliberately, a bundle of flat
 key-space arrays (see that module's docstring).  This module gives those
@@ -7,19 +7,15 @@ arrays a zero-copy lifecycle:
 * **Section buffers** — :class:`SectionWriter` packs named typed arrays
   into one contiguous, 8-byte-aligned buffer with a ``{name: (offset,
   count, typecode)}`` manifest; :class:`SectionView` hands back
-  ``memoryview.cast`` views over *any* buffer (bytes, ``mmap``, a
-  ``SharedMemory`` buffer) without copying.  Indexing a cast view yields
-  native Python ``float``/``int`` — never a wrapper type — which is what
-  keeps warm-started enumeration bit-identical to a cold rebuild.
-* **Shared-memory pools** (:class:`ShmPool`) — the process-pool shard
-  build packs phase A's lower-stage pools into one
-  ``multiprocessing.shared_memory`` segment; workers attach by *name*
-  (the only thing that crosses the pickle boundary) and alias the float
-  pools directly.  Cleanup is refcounted through the owning build with a
-  ``weakref.finalize`` backstop, and attached workers unregister from
-  the ``resource_tracker`` so nothing is double-freed or warned about.
+  ``memoryview.cast`` views over *any* buffer (bytes, ``mmap``) without
+  copying.  Indexing a cast view yields native Python ``float``/``int``
+  — never a wrapper type — which is what keeps warm-started enumeration
+  bit-identical to a cold rebuild.
+* **One entry layout** — every stored plan is a list of fragment cores
+  over one shared uid space (:func:`export_fragments` /
+  :func:`load_fragments`); an unsharded plan is the one-fragment case.
 * **mmap persistence** (:class:`CoreFile` / :class:`CoreCache`) — the
-  same sections serialize to a ``<db>.core`` file next to the SQLite
+  sections serialize to a ``<db>.core`` file next to the SQLite
   database.  Entries are keyed by the plan fingerprint, the dioid's
   registry name, and the shard spec, and stamped with the
   ``Database.version`` they were built from; a cold process warm-starts
@@ -35,9 +31,9 @@ stable across processes.
 
 This module sits in the ``dp`` layer and must not import
 ``repro.parallel`` (the parallel builder imports *us*); the mapped
-sharded cores therefore reconstruct the fragment aliasing structurally
-(shared uid-indexed lists, per-fragment anchor arrays) without
-referencing the builder's classes.
+cores therefore reconstruct the fragment aliasing structurally (shared
+uid-indexed lists, per-fragment anchor arrays) through
+:func:`repro.dp.flat.assemble_core`, the same assembly the builder uses.
 """
 
 from __future__ import annotations
@@ -49,13 +45,10 @@ import os
 import pickle
 import struct
 import threading
-import weakref
 from array import array
-from multiprocessing import shared_memory
 from typing import Sequence
 
-from repro.dp.flat import CompiledTDP
-from repro.dp.graph import TDP
+from repro.dp.flat import CompiledTDP, FragmentTDP, assemble_core, conn_of_rows
 from repro.obs.metrics import Counter
 from repro.ranking.dioid import NAMED_DIOIDS, SelectiveDioid
 from repro.util import faults
@@ -85,8 +78,9 @@ def _core_retrier():
 
 #: ``<db>.core`` container magic + format version.  Bump the version on
 #: any layout change: readers treat unknown versions as a cache miss.
+#: Format 2: one entry layout (fragment cores) for every plan.
 CORE_MAGIC = b"RPROCORE"
-CORE_FORMAT = 1
+CORE_FORMAT = 2
 
 _ALIGN = 8
 _HEADER = struct.Struct("<8sII")  # magic, format, TOC length
@@ -166,17 +160,17 @@ def core_key(query, dioid: SelectiveDioid, shard_key: tuple | None) -> str | Non
     return repr((query.fingerprint(), name, shard_key))
 
 
-# -- mapped shells and cores ---------------------------------------------------
+# -- lazily fetched rows ------------------------------------------------------
 
 
 class LazyRows:
     """A per-stage row sequence materialised per index from the backend.
 
     Stands in for the builder's eagerly fetched row lists on warm-start
-    and process-assembled fragments: result construction touches only
-    the states a run actually emits, so rows are point-fetched (and
-    memoized) instead of bulk-loaded.  Rows are the relation's bare
-    value tuples — exactly what witness/assignment need.
+    cores: result construction touches only the states a run actually
+    emits, so rows are point-fetched (and memoized) instead of
+    bulk-loaded.  Rows are the relation's bare value tuples — exactly
+    what witness/assignment need.
     """
 
     __slots__ = ("relation", "ids", "_cache")
@@ -196,127 +190,16 @@ class LazyRows:
         return row
 
 
-class _NegSeq:
-    """Lazily negated read-only view of a key sequence (max-plus values)."""
-
-    __slots__ = ("keys",)
-
-    def __init__(self, keys):
-        self.keys = keys
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def __getitem__(self, index: int):
-        return -self.keys[index]
-
-
-def _value_sequences(dioid: SelectiveDioid, key_stages: list) -> list:
-    """Per-stage dioid-value views over key-space sequences."""
-    key = dioid.key
-    if all(key(p) == p for p in (1.25, -3.5, 0.0)):
-        return list(key_stages)  # key is the value: alias
-    if all(key(p) == -p for p in (1.25, -3.5, 0.0)):
-        return [_NegSeq(keys) for keys in key_stages]
-    vfk = dioid.value_from_key
-    return [[vfk(k) for k in keys] for keys in key_stages]
-
-
-class MappedShell(TDP):
-    """A connector-free T-DP shell over mapped (or lazily fetched) data.
-
-    The mapped analogue of the parallel builder's ``FragmentTDP``: it
-    carries exactly what result assembly reads — per-stage rows, global
-    tuple ids, the query — and no ``ChoiceSet`` graph.  ``_compiled``
-    points at the :class:`MappedCompiled`, so ``make_enumerator(shell)``
-    transparently runs the flat core.
-    """
-
-    def __init__(self, dioid, atom_of_stage, parent_stage, query, join_tree):
-        super().__init__(
-            dioid, atom_of_stage, parent_stage, query=query, join_tree=join_tree
-        )
-        self._empty = True
-
-    def is_empty(self) -> bool:
-        return self._empty
-
-
-class MappedCompiled(CompiledTDP):
-    """A compiled core whose pools are views over a mapped buffer.
-
-    Assembled directly into the slots (never via ``__init__``); the CSR
-    pool arrays are ``memoryview.cast`` views, so nothing is copied
-    until an enumerator actually touches a connector —
-    :meth:`pairs` then materialises that connector's pair list exactly
-    like the eager base class would have.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def assemble(cls, **fields) -> "MappedCompiled":
-        self = cls.__new__(cls)
-        for name, value in fields.items():
-            setattr(self, name, value)
-        return self
-
-    def pairs(self, uid: int) -> list[tuple[float, int]]:
-        entries = self._pairs[uid]
-        if entries is None:
-            offsets = self.conn_offsets
-            lo, hi = offsets[uid], offsets[uid + 1]
-            entries = self._pairs[uid] = list(
-                zip(self.entry_key[lo:hi], self.entry_state[lo:hi])
-            )
-        return entries
-
-
-# -- export: compiled core -> sections + meta ----------------------------------
-
-
-def _require_persistable(dioid: SelectiveDioid) -> str:
-    name = dioid_core_name(dioid)
-    if name is None:
-        raise ValueError(f"{dioid!r} is not core-persistable")
-    return name
-
-
-def export_compiled(compiled: CompiledTDP) -> tuple[dict, bytes]:
-    """Serialize an unsharded compiled core to ``(meta, sections)``."""
-    name = _require_persistable(compiled.dioid)
-    tdp = compiled.tdp
-    writer = SectionWriter()
-    writer.add("entry_key", "d", compiled.entry_key)
-    writer.add("entry_state", "q", compiled.entry_state)
-    writer.add("conn_offsets", "q", compiled.conn_offsets)
-    writer.add("conn_stage", "q", compiled.conn_stage)
-    for stage in range(compiled.num_stages):
-        writer.add(f"vk{stage}", "d", compiled.values_key[stage])
-        writer.add(f"pk{stage}", "d", compiled.pi1_key[stage])
-        writer.add(f"cu{stage}", "q", compiled.child_uids[stage])
-        writer.add(f"ids{stage}", "q", tdp.tuple_ids[stage])
-    meta = {
-        "kind": "tdp",
-        "dioid": name,
-        "num_stages": compiled.num_stages,
-        "num_connectors": compiled.num_connectors,
-        "order": list(tdp.atom_of_stage),
-        "parent_stage": list(compiled.parent_stage),
-        "root_uid": dict(compiled.root_uid),
-        "best_key": compiled.best_key,
-        "empty": compiled.empty,
-        "manifest": writer.manifest,
-    }
-    return meta, writer.getvalue()
+# -- export: fragment cores -> sections + meta ---------------------------------
 
 
 def export_fragments(
     fragment_cores: Sequence[CompiledTDP], anchor_stage: int
 ) -> tuple[dict, bytes]:
-    """Serialize a sharded build's fragment cores to ``(meta, sections)``.
+    """Serialize a plan's fragment cores to ``(meta, sections)``.
 
-    The fragments of one shard plan share a common uid space — shared
+    An unsharded plan is the one-fragment case anchored at stage 0.
+    The fragments of one plan share a common uid space — shared
     connectors first, then one root connector per fragment — and alias
     one uid-indexed ``_pairs`` list, so fragment 0's view of that list
     already contains every fragment's root entries.  The non-anchor
@@ -324,7 +207,9 @@ def export_fragments(
     fragment.
     """
     first = fragment_cores[0]
-    name = _require_persistable(first.dioid)
+    name = dioid_core_name(first.dioid)
+    if name is None:
+        raise ValueError(f"{first.dioid!r} is not core-persistable")
     num_stages = first.num_stages
     uid_space = first.num_connectors
 
@@ -365,7 +250,6 @@ def export_fragments(
             {"best_key": core.best_key, "empty": core.empty}
         )
     meta = {
-        "kind": "sharded",
         "dioid": name,
         "num_stages": num_stages,
         "num_connectors": uid_space,
@@ -387,151 +271,10 @@ def export_fragments(
 # -- import: sections + meta -> mapped cores -----------------------------------
 
 
-def _conn_of_rows(shell: TDP, child_uids: list) -> list:
-    """Per non-root stage: the connector uid row indexed by parent state."""
-    conn_of: list = [None] * shell.num_stages
-    for stage in range(shell.num_stages):
-        parent = shell.parent_stage[stage]
-        if parent == -1:
-            continue
-        fanout = len(shell.children_stages[parent])
-        branch = shell.branch_index[stage]
-        row = child_uids[parent]
-        conn_of[stage] = row[branch::fanout] if fanout else []
-    return conn_of
-
-
-def _vfk_of(dioid: SelectiveDioid):
-    return (
-        None
-        if type(dioid).value_from_key is SelectiveDioid.value_from_key
-        else dioid.value_from_key
-    )
-
-
-def _assemble_mapped(
-    shell: MappedShell,
-    dioid: SelectiveDioid,
-    meta: dict,
-    values_key: list,
-    pi1_key: list,
-    child_uids: list,
-    conn_stage: list,
-    sections: SectionView,
-    root_uid: dict,
-    best_key: float,
-    empty: bool,
-    pairs: list,
-    caches: tuple[list, list, list],
-) -> MappedCompiled:
-    num_stages = meta["num_stages"]
-    uid_space = meta["num_connectors"]
-    num_branches = [len(c) for c in shell.children_stages]
-    per_stage = [
-        (num_branches[s], values_key[s], child_uids[s], s)
-        for s in range(num_stages)
-    ]
-    conn_meta = [
-        None if stage < 0 else per_stage[stage] for stage in conn_stage
-    ]
-    compiled = MappedCompiled.assemble(
-        tdp=shell,
-        dioid=dioid,
-        num_stages=num_stages,
-        num_connectors=uid_space,
-        parent_stage=list(shell.parent_stage),
-        children_stages=shell.children_stages,
-        branch_index=shell.branch_index,
-        num_branches=num_branches,
-        values_key=values_key,
-        pi1_key=pi1_key,
-        conn_offsets=sections.view("conn_offsets"),
-        entry_key=sections.view("entry_key"),
-        entry_state=sections.view("entry_state"),
-        conn_stage=conn_stage,
-        child_uids=child_uids,
-        conn_of=_conn_of_rows(shell, child_uids),
-        conn_meta=conn_meta,
-        root_stages=list(shell.root_stages),
-        root_uid=root_uid,
-        best_key=best_key,
-        empty=empty,
-        vfk=_vfk_of(dioid),
-        is_chain=all(
-            shell.parent_stage[j] == j - 1 for j in range(num_stages)
-        ),
-        _pairs=pairs,
-        _take2_heaps=caches[0],
-        _sorted_pairs=caches[1],
-        _rea_heaps=caches[2],
-    )
-    shell._compiled = compiled
-    return compiled
-
-
-def _shell_for(
-    meta: dict, dioid: SelectiveDioid, database, query, join_tree
-) -> tuple[MappedShell, list]:
-    """A mapped shell plus its per-stage relations, rows still unset."""
-    order = list(meta["order"])
-    shell = MappedShell(dioid, order, list(meta["parent_stage"]), query, join_tree)
-    relations = [
-        database[query.atoms[atom_index].relation_name] for atom_index in order
-    ]
-    return shell, relations
-
-
-def _finish_shell(
-    shell: MappedShell,
-    dioid: SelectiveDioid,
-    values_key: list,
-    pi1_key: list,
-    uid_space: int,
-    best_key: float,
-    empty: bool,
-) -> None:
-    shell.values = _value_sequences(dioid, values_key)
-    shell.pi1 = _value_sequences(dioid, pi1_key)
-    shell.num_connectors = uid_space
-    shell.best_weight = dioid.zero if empty else dioid.value_from_key(best_key)
-    shell._empty = empty
-
-
-def load_compiled(
-    meta: dict, buffer, base: int, database, query, join_tree
-) -> MappedShell:
-    """Rehydrate an unsharded core as a mapped shell (``.core`` hit)."""
-    dioid = NAMED_DIOIDS[meta["dioid"]]
-    sections = SectionView(buffer, meta["manifest"], base)
-    shell, relations = _shell_for(meta, dioid, database, query, join_tree)
-    num_stages = meta["num_stages"]
-    values_key = [sections.view(f"vk{s}") for s in range(num_stages)]
-    pi1_key = [sections.view(f"pk{s}") for s in range(num_stages)]
-    child_uids = [sections.view(f"cu{s}") for s in range(num_stages)]
-    tuple_ids = [sections.view(f"ids{s}") for s in range(num_stages)]
-    shell.tuple_ids = tuple_ids
-    shell.tuples = [
-        LazyRows(relation, ids) for relation, ids in zip(relations, tuple_ids)
-    ]
-    uid_space = meta["num_connectors"]
-    _finish_shell(
-        shell, dioid, values_key, pi1_key, uid_space,
-        meta["best_key"], meta["empty"],
-    )
-    conn_stage = list(sections.view("conn_stage"))
-    _assemble_mapped(
-        shell, dioid, meta, values_key, pi1_key, child_uids, conn_stage,
-        sections, dict(meta["root_uid"]), meta["best_key"], meta["empty"],
-        [None] * uid_space,
-        ([None] * uid_space, [None] * uid_space, [None] * uid_space),
-    )
-    return shell
-
-
 def load_fragments(
     meta: dict, buffer, base: int, database, query, join_tree
-) -> list[MappedCompiled]:
-    """Rehydrate a sharded core as per-fragment mapped compiled cores.
+) -> list[CompiledTDP]:
+    """Rehydrate a stored entry as per-fragment mapped compiled cores.
 
     Reconstructs the cold build's aliasing exactly: one ``_pairs`` list,
     one set of lazily built ranking-structure caches, and one view per
@@ -544,36 +287,56 @@ def load_fragments(
     anchor = meta["anchor_stage"]
     uid_space = meta["num_connectors"]
     num_fragments = meta["num_fragments"]
+    order = list(meta["order"])
+    parent_stage = list(meta["parent_stage"])
+    shells = [
+        FragmentTDP(dioid, order, parent_stage, query, join_tree)
+        for _ in range(num_fragments)
+    ]
+    children = shells[0].children_stages
 
-    shared_vk: list = [None] * num_stages
-    shared_pk: list = [None] * num_stages
-    shared_cu: list = [None] * num_stages
-    shared_ids: list = [None] * num_stages
-    for stage in range(num_stages):
-        if stage == anchor:
-            continue
-        shared_vk[stage] = sections.view(f"vk{stage}")
-        shared_pk[stage] = sections.view(f"pk{stage}")
-        shared_cu[stage] = sections.view(f"cu{stage}")
-        shared_ids[stage] = sections.view(f"ids{stage}")
+    def shared(prefix: str) -> list:
+        return [
+            None if stage == anchor else sections.view(f"{prefix}{stage}")
+            for stage in range(num_stages)
+        ]
+
+    shared_vk, shared_pk = shared("vk"), shared("pk")
+    shared_cu, shared_ids = shared("cu"), shared("ids")
+    relations = [
+        database[query.atoms[atom_index].relation_name] for atom_index in order
+    ]
+    shared_rows = [
+        None if ids is None else LazyRows(relation, ids)
+        for relation, ids in zip(relations, shared_ids)
+    ]
     conn_stage = list(sections.view("conn_stage"))
+    per_stage = [
+        (len(children[s]), shared_vk[s], shared_cu[s], s)
+        for s in range(num_stages)
+    ]
+    uid_lists = {
+        "pairs": [None] * uid_space,
+        "conn_stage": conn_stage,
+        "conn_meta": [
+            None if stage < 0 else per_stage[stage] for stage in conn_stage
+        ],
+        "take2": [None] * uid_space,
+        "sorted": [None] * uid_space,
+        "rea": [None] * uid_space,
+    }
+    csr = (
+        sections.view("conn_offsets"),
+        sections.view("entry_key"),
+        sections.view("entry_state"),
+    )
     shared_root_uid = {
         int(stage): uid for stage, uid in meta["root_uid"].items()
     }
-    pairs: list = [None] * uid_space
-    caches = ([None] * uid_space, [None] * uid_space, [None] * uid_space)
-    shared_rows: list = [None] * num_stages
 
-    cores: list[MappedCompiled] = []
-    for index in range(num_fragments):
+    cores: list[CompiledTDP] = []
+    for index, shell in enumerate(shells):
         frag_meta = meta["fragments"][index]
-        shell, relations = _shell_for(meta, dioid, database, query, join_tree)
-        if index == 0:
-            for stage in range(num_stages):
-                if stage != anchor:
-                    shared_rows[stage] = LazyRows(
-                        relations[stage], shared_ids[stage]
-                    )
         values_key = list(shared_vk)
         values_key[anchor] = sections.view(f"f{index}.vk")
         pi1_key = list(shared_pk)
@@ -585,146 +348,24 @@ def load_fragments(
         shell.tuple_ids[anchor] = frag_ids
         shell.tuples = list(shared_rows)
         shell.tuples[anchor] = LazyRows(relations[anchor], frag_ids)
+        root = uid_space - num_fragments + index
+        uid_lists["conn_meta"][root] = (
+            len(children[anchor]), values_key[anchor], child_uids[anchor],
+            anchor,
+        )
         root_uid = dict(shared_root_uid)
-        root_uid[anchor] = uid_space - num_fragments + index
-        best_key = frag_meta["best_key"]
-        empty = frag_meta["empty"]
-        _finish_shell(
-            shell, dioid, values_key, pi1_key, uid_space, best_key, empty
+        root_uid[anchor] = root
+        conn_of = conn_of_rows(
+            parent_stage, shell.branch_index,
+            [len(c) for c in children], child_uids,
         )
         cores.append(
-            _assemble_mapped(
-                shell, dioid, meta, values_key, pi1_key, child_uids,
-                conn_stage, sections, root_uid, best_key, empty,
-                pairs, caches,
+            assemble_core(
+                shell, values_key, pi1_key, child_uids, conn_of, root_uid,
+                frag_meta["best_key"], frag_meta["empty"], uid_lists, csr,
             )
         )
     return cores
-
-
-# -- shared-memory pools (process-pool shard build) ----------------------------
-
-
-def _cleanup_segment(segment: shared_memory.SharedMemory, owner: bool) -> None:
-    try:
-        segment.close()
-    except BufferError:  # views still exported; the OS frees at exit
-        return
-    if owner:
-        try:
-            segment.unlink()
-        except FileNotFoundError:
-            pass
-
-
-class ShmPool:
-    """One shared-memory segment of packed sections, shipped by name.
-
-    The owning process creates it and unlinks it when the build
-    finishes (``destroy``), with a ``weakref.finalize`` backstop for
-    error paths that never reach the ``finally``.  Workers ``attach``
-    by name and immediately unregister from the ``resource_tracker`` —
-    the owner's tracker entry is the only one that should exist, which
-    is what keeps worker exits warning-free on pre-3.13 Pythons.
-    """
-
-    __slots__ = ("name", "segment", "owner", "_finalizer", "__weakref__")
-
-    def __init__(self, name: str, segment, owner: bool):
-        self.name = name
-        self.segment = segment
-        self.owner = owner
-        self._finalizer = weakref.finalize(
-            self, _cleanup_segment, segment, owner
-        )
-
-    @classmethod
-    def create(cls, payload: bytes) -> "ShmPool":
-        segment = shared_memory.SharedMemory(
-            create=True, size=max(1, len(payload))
-        )
-        segment.buf[: len(payload)] = payload
-        return cls(segment.name, segment, owner=True)
-
-    @classmethod
-    def attach(cls, name: str) -> "ShmPool":
-        try:
-            segment = shared_memory.SharedMemory(name=name, track=False)
-        except TypeError:
-            # Python < 3.13 has no ``track=`` and (bpo-39959) registers
-            # even a plain attach with the resource tracker; with several
-            # workers attaching the same segment the later unregisters
-            # race each other in the tracker daemon.  Suppress the
-            # registration for the duration of the attach instead —
-            # single-threaded here (pool initializer / test probe).
-            from multiprocessing import resource_tracker
-
-            original = resource_tracker.register
-            resource_tracker.register = lambda *args, **kwargs: None
-            try:
-                segment = shared_memory.SharedMemory(name=name)
-            finally:
-                resource_tracker.register = original
-        return cls(name, segment, owner=False)
-
-    @property
-    def buf(self):
-        return self.segment.buf
-
-    def destroy(self) -> None:
-        """Release (and, for the owner, unlink) the segment now."""
-        if self._finalizer.detach() is not None:
-            _cleanup_segment(self.segment, self.owner)
-
-
-class WorkerLower:
-    """The worker-side view of phase A: what the anchor scan reads."""
-
-    __slots__ = ("lane", "conn_min", "lookups")
-
-    def __init__(self, lane: int, conn_min, lookups: list):
-        self.lane = lane
-        #: memoryview("d") aliasing the owner's pool — zero copies.
-        self.conn_min = conn_min
-        self.lookups = lookups
-
-
-def pack_worker_lower(shared) -> bytes:
-    """Pack a ``SharedLower``'s scan-relevant state for :class:`ShmPool`.
-
-    The float pool (``conn_min``) travels as a raw section workers view
-    in place; the anchor children's join-key maps are hash tables and
-    necessarily unpickle per worker — but from the mapped buffer, never
-    through the executor's task pipe.
-    """
-    writer = SectionWriter()
-    writer.add("conn_min", "d", shared.conn_min)
-    data = writer.getvalue()
-    blob = pickle.dumps(
-        {
-            "lane": shared.lane,
-            "manifest": writer.manifest,
-            "lookups": shared.child_lookups(shared.anchor_stage),
-        },
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    header = struct.pack("<Q", len(blob))
-    pad = _pad(len(header) + len(blob))
-    return header + blob + b"\x00" * pad + data
-
-
-def unpack_worker_lower(buffer) -> WorkerLower:
-    """Worker side of :func:`pack_worker_lower` (views, no pool copy)."""
-    mv = memoryview(buffer)
-    (blob_len,) = struct.unpack_from("<Q", mv, 0)
-    blob = pickle.loads(mv[8:8 + blob_len])
-    data_base = 8 + blob_len + _pad(8 + blob_len)
-    sections = SectionView(mv, blob["manifest"], data_base)
-    lookups = [
-        (single, tuple(positions), cmap)
-        for single, positions, cmap in blob["lookups"]
-    ]
-    return WorkerLower(blob["lane"], sections.view("conn_min"), lookups)
 
 
 # -- the <db>.core container ---------------------------------------------------
@@ -899,9 +540,9 @@ class CoreFile:
 class CoreCache:
     """The engine-facing warm-start cache over one :class:`CoreFile`.
 
-    ``load_*`` return mapped cores on a hit, ``None`` on a miss; a
+    :meth:`load` returns mapped cores on a hit, ``None`` on a miss; a
     ``Database.version`` mismatch counts as *stale* (the caller rebuilds
-    and ``store_*`` rewrites the entry).  Counters feed the engine's
+    and :meth:`store` rewrites the entry).  Counters feed the engine's
     ``EngineStats``.  The mmap behind a hit stays open as long as loaded
     cores reference its views; :meth:`close` releases mappings that are
     no longer referenced and leaves the rest to garbage collection.
@@ -971,36 +612,14 @@ class CoreCache:
             # That is corruption, not staleness: miss and rebuild.
             self.misses += 1
             return None
-        # The hit is counted by the load_* caller once the blob actually
+        # The hit is counted by the load() caller once the blob actually
         # decodes — the counter is monotone, so a decode failure must
         # never have to "take a hit back".
         return entry["meta"], mapped, entry["offset"]
 
     # -- engine API ------------------------------------------------------------
 
-    def load_tdp(self, key: str | None, database, query, join_tree):
-        """A mapped unsharded shell for ``key``, or ``None``."""
-        with self._lock:
-            found = self._entry(key, database.version)
-            if found is None:
-                return None
-            meta, mapped, offset = found
-            if meta["kind"] != "tdp":
-                self.misses += 1
-                return None
-            try:
-                shell = load_compiled(
-                    meta, mapped, offset, database, query, join_tree
-                )
-            except Exception:
-                # Mangled section data inside an in-bounds blob: a cold
-                # rebuild beats serving garbage.
-                self.misses += 1
-                return None
-            self.hits += 1
-            return shell
-
-    def load_fragment_cores(
+    def load(
         self, key: str | None, database, query, join_tree,
         anchor_stage: int, num_fragments: int,
     ):
@@ -1011,9 +630,8 @@ class CoreCache:
                 return None
             meta, mapped, offset = found
             if (
-                meta["kind"] != "sharded"
-                or meta["anchor_stage"] != anchor_stage
-                or meta["num_fragments"] != num_fragments
+                meta.get("anchor_stage") != anchor_stage
+                or meta.get("num_fragments") != num_fragments
             ):
                 self.misses += 1
                 return None
@@ -1022,6 +640,8 @@ class CoreCache:
                     meta, mapped, offset, database, query, join_tree
                 )
             except Exception:
+                # Mangled section data inside an in-bounds blob: a cold
+                # rebuild beats serving garbage.
                 self.misses += 1
                 return None
             self.hits += 1

@@ -37,11 +37,16 @@ so the engine's version-stamped physical-plan cache shares one
 ``CompiledTDP`` across all any-k algorithm variants and all serving
 sessions of a database version.
 
-Because every array in the core is plain key-space floats/ints, a
-compiled core is *persistable*: :mod:`repro.dp.corebuf` serializes the
-pools to a ``<db>.core`` file (and to shared-memory segments for the
-process-pool shard build) and maps them back without re-running the
-build.  Only dioids that are both ``key_is_value`` and registered in
+A core has two construction routes.  :func:`compile_tdp` lowers an
+object-graph T-DP (user-built ``DPProblem``/``build_tdp_for_query``
+T-DPs, and the ``flat=False`` reference the tests compare against).
+The engine's binds never build the object graph for a ``key_is_value``
+dioid: :mod:`repro.parallel.build` lowers relation rows straight into
+key space and :func:`assemble_core` wraps the arrays, behind a
+connector-free :class:`FragmentTDP` shell; an unsharded bind is the
+one-fragment case of that builder.  The ``.core`` loader of
+:mod:`repro.dp.corebuf` assembles the same way over mmapped sections.
+Only dioids that are both ``key_is_value`` and registered in
 ``NAMED_DIOIDS`` — tropical min-plus and max-plus — are persisted; the
 dioid travels by registry name, never by pickled instance.
 """
@@ -102,6 +107,13 @@ class CompiledTDP:
     the source :class:`TDP` for result assembly — witness tuples and
     variable assignments are materialised lazily from ``tuple_ids`` at
     result-construction time, never carried through candidate queues.
+
+    ``__init__`` lowers an object-graph T-DP; :meth:`assemble` fills the
+    slots directly (see :func:`assemble_core`).  An assembled core may
+    carry its entries as per-connector pair lists only (the direct
+    lowering: no CSR pool until :meth:`csr` asks for one) or as CSR
+    views only (a mapped ``.core``: pair lists materialise per
+    connector on first touch).
     """
 
     __slots__ = (
@@ -194,15 +206,10 @@ class CompiledTDP:
         #: ``child_uids[parent][state * fanout + branch]`` multiply-add
         #: on the enumeration hot path (``None`` for root stages, whose
         #: single connector is in :attr:`root_uid`).
-        self.conn_of: list[list[int] | None] = [None] * num_stages
-        for stage in range(num_stages):
-            parent = self.parent_stage[stage]
-            if parent == -1:
-                continue
-            fanout = self.num_branches[parent]
-            branch = self.branch_index[stage]
-            row = self.child_uids[parent]
-            self.conn_of[stage] = row[branch::fanout] if fanout else []
+        self.conn_of: list[list[int] | None] = conn_of_rows(
+            self.parent_stage, self.branch_index, self.num_branches,
+            self.child_uids,
+        )
 
         self.root_stages = list(tdp.root_stages)
         self.root_uid = {
@@ -237,11 +244,7 @@ class CompiledTDP:
         #: Key-to-value map for result construction, or ``None`` when
         #: the key *is* the value (tropical min-plus): the enumerators
         #: then skip the call entirely on their per-result path.
-        self.vfk = (
-            None
-            if type(dioid).value_from_key is SelectiveDioid.value_from_key
-            else dioid.value_from_key
-        )
+        self.vfk = vfk_of(dioid)
 
         #: Shared ``(key, state)`` pair lists per connector — the flat
         #: analogue of ``ChoiceSet.entries`` (unsorted, read-only;
@@ -271,6 +274,14 @@ class CompiledTDP:
         self._sorted_pairs: list[list | None] = [None] * tdp.num_connectors
         self._rea_heaps: list[list | None] = [None] * tdp.num_connectors
 
+    @classmethod
+    def assemble(cls, **fields) -> "CompiledTDP":
+        """A core whose slots are filled directly (no object T-DP)."""
+        self = cls.__new__(cls)
+        for name, value in fields.items():
+            setattr(self, name, value)
+        return self
+
     # -- accessors -----------------------------------------------------------
 
     def pairs(self, uid: int) -> list[tuple[float, int]]:
@@ -278,9 +289,39 @@ class CompiledTDP:
 
         Shared by all enumerator runs (and algorithms).  Callers must
         not mutate the returned list — copy first (as the ``sorted`` /
-        ``heapify`` call sites do).
+        ``heapify`` call sites do).  A mapped core materialises the list
+        from its CSR views on first touch (a benign race, like the
+        ranking-structure caches below).
         """
-        return self._pairs[uid]
+        entries = self._pairs[uid]
+        if entries is None:
+            offsets = self.conn_offsets
+            lo, hi = offsets[uid], offsets[uid + 1]
+            entries = self._pairs[uid] = list(
+                zip(self.entry_key[lo:hi], self.entry_state[lo:hi])
+            )
+        return entries
+
+    def csr(self) -> tuple:
+        """``(conn_offsets, entry_state)`` over the whole uid space.
+
+        A directly lowered core keeps its entries as pair lists only;
+        the first call packs them into the CSR pool the vectorized batch
+        expansion reads (pure function of the pairs, so the lazy fill is
+        a benign race).
+        """
+        if self.conn_offsets is None:
+            offsets = array("q", [0])
+            states = array("q")
+            total = 0
+            for entries in self._pairs:
+                if entries:
+                    states.extend([state for _key, state in entries])
+                    total += len(entries)
+                offsets.append(total)
+            self.entry_state = states
+            self.conn_offsets = offsets
+        return self.conn_offsets, self.entry_state
 
     def take2_heap(self, uid: int) -> list[tuple[float, int]]:
         """Connector ``uid``'s entries in static heap order (shared).
@@ -334,20 +375,22 @@ class CompiledTDP:
             self._rea_heaps[uid] = template
         return list(template)
 
-    def conn_size(self, uid: int) -> int:
-        """Number of entries of connector ``uid``."""
-        return self.conn_offsets[uid + 1] - self.conn_offsets[uid]
-
     def value_from_key(self, key: float) -> Any:
         """Map a key-space float back to the dioid value domain."""
         return self.dioid.value_from_key(key)
+
+    def num_entries(self) -> int:
+        """Entries across the whole uid space (shared by all fragments)."""
+        if self.conn_offsets is not None:
+            return self.conn_offsets[-1]
+        return sum(len(entries) for entries in self._pairs if entries)
 
     def stats(self) -> dict:
         """Compiled-core summary (for ``explain`` physical reports)."""
         return {
             "stages": self.num_stages,
             "connectors": self.num_connectors,
-            "entries": len(self.entry_key),
+            "entries": self.num_entries(),
             "states": sum(len(v) for v in self.values_key),
             "empty": self.empty,
         }
@@ -375,7 +418,7 @@ class CompiledTDP:
     def __repr__(self) -> str:
         return (
             f"CompiledTDP(stages={self.num_stages}, "
-            f"entries={len(self.entry_key)}, best={self.best_key!r})"
+            f"entries={self.num_entries()}, best={self.best_key!r})"
         )
 
 
@@ -397,4 +440,170 @@ def compile_tdp(tdp: TDP) -> CompiledTDP | None:
         return None
     compiled = CompiledTDP(tdp)
     tdp._compiled = compiled
+    return compiled
+
+
+# -- direct assembly (no object T-DP) ------------------------------------------
+
+#: Key-space transform lanes of a ``key_is_value`` dioid (:func:`key_lane`).
+LANE_ID, LANE_NEG, LANE_CALL = 0, 1, 2
+
+
+def key_lane(dioid: SelectiveDioid) -> int:
+    """How raw weights map into key space for this ``key_is_value`` dioid.
+
+    Tropical keys are the values themselves, max-plus keys are their
+    negation; any other (hypothetical) additive float key falls back to
+    calling ``dioid.key`` per row.
+    """
+    probes = (1.25, -3.5, 0.0)
+    if all(dioid.key(p) == p for p in probes):
+        return LANE_ID
+    if all(dioid.key(p) == -p for p in probes):
+        return LANE_NEG
+    return LANE_CALL
+
+
+class _NegSeq:
+    """Lazily negated read-only view of a key sequence (max-plus values)."""
+
+    __slots__ = ("keys",)
+
+    def __init__(self, keys):
+        self.keys = keys
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, index: int):
+        return -self.keys[index]
+
+
+def values_from_keys(dioid: SelectiveDioid, keys, lane: int):
+    """A dioid-value view of one stage's key-space sequence."""
+    if lane == LANE_ID:
+        return keys  # the key *is* the value: alias, no copy
+    if lane == LANE_NEG:
+        return _NegSeq(keys)
+    vfk = dioid.value_from_key
+    return [vfk(k) for k in keys]
+
+
+def vfk_of(dioid: SelectiveDioid):
+    """``dioid.value_from_key``, or ``None`` when the key is the value."""
+    if type(dioid).value_from_key is SelectiveDioid.value_from_key:
+        return None
+    return dioid.value_from_key
+
+
+def conn_of_rows(parent_stage, branch_index, num_branches, child_uids) -> list:
+    """Per non-root stage: its connector uid, indexed by parent state."""
+    conn_of: list = [None] * len(parent_stage)
+    for stage, parent in enumerate(parent_stage):
+        if parent == -1:
+            continue
+        fanout = num_branches[parent]
+        row = child_uids[parent]
+        conn_of[stage] = row[branch_index[stage]::fanout] if fanout else []
+    return conn_of
+
+
+class FragmentTDP(TDP):
+    """A connector-free T-DP shell behind an assembled compiled core.
+
+    Carries exactly what result assembly needs — per-stage rows, global
+    tuple ids, the query — and no :class:`~repro.dp.graph.ChoiceSet`
+    graph (the flat enumerators never walk one).  Rows are either the
+    builder's bulk-fetched rows, which may carry the trailing backend
+    weight (:meth:`witness` slices them back to atom arity), or lazily
+    fetched bare tuples (``repro.dp.corebuf.LazyRows``, mapped cores).
+    ``_compiled`` points at the core, so ``make_enumerator(shell)``
+    transparently runs the flat enumerators.
+    """
+
+    def __init__(self, dioid, atom_of_stage, parent_stage, query, join_tree):
+        super().__init__(
+            dioid, atom_of_stage, parent_stage, query=query, join_tree=join_tree
+        )
+        self._arities = [query.atoms[a].arity for a in self.atom_of_stage]
+        self._empty = True
+
+    def is_empty(self) -> bool:
+        return self._empty
+
+    def witness(self, states) -> tuple:
+        arities = self._arities
+        by_atom = sorted(
+            (self.atom_of_stage[stage], self.tuples[stage][state][: arities[stage]])
+            for stage, state in enumerate(states)
+        )
+        return tuple(t for _atom, t in by_atom)
+
+
+def assemble_core(
+    shell: FragmentTDP,
+    values_key: list,
+    pi1_key: list,
+    child_uids: list,
+    conn_of: list,
+    root_uid: dict,
+    best_key: float,
+    empty: bool,
+    uid_lists: dict,
+    csr: tuple = (None, None, None),
+) -> CompiledTDP:
+    """Finish ``shell`` and wrap its key-space arrays in a compiled core.
+
+    ``shell`` already holds its per-stage ``tuples``/``tuple_ids``; the
+    per-stage key arrays (``values_key``, ``pi1_key``, ``child_uids``,
+    ``conn_of``) are lists or buffer views.  ``uid_lists`` holds the
+    uid-indexed structures — ``pairs``, ``conn_stage``, ``conn_meta``
+    and the ``take2``/``sorted``/``rea`` ranking caches — which the
+    fragments of one shard plan share as the *same list objects*, so a
+    ranking structure for a shared connector is built once for every
+    fragment, algorithm and serving session.  ``csr`` is the optional
+    ``(conn_offsets, entry_key, entry_state)`` pool of a mapped core.
+    """
+    dioid = shell.dioid
+    lane = key_lane(dioid)
+    num_stages = shell.num_stages
+    uid_space = len(uid_lists["pairs"])
+    shell.values = [values_from_keys(dioid, keys, lane) for keys in values_key]
+    shell.pi1 = [values_from_keys(dioid, keys, lane) for keys in pi1_key]
+    shell.num_connectors = uid_space
+    shell.best_weight = dioid.zero if empty else dioid.value_from_key(best_key)
+    shell._empty = empty
+    conn_offsets, entry_key, entry_state = csr
+    compiled = CompiledTDP.assemble(
+        tdp=shell,
+        dioid=dioid,
+        num_stages=num_stages,
+        num_connectors=uid_space,
+        parent_stage=shell.parent_stage,
+        children_stages=shell.children_stages,
+        branch_index=shell.branch_index,
+        num_branches=[len(c) for c in shell.children_stages],
+        values_key=values_key,
+        pi1_key=pi1_key,
+        conn_offsets=conn_offsets,
+        entry_key=entry_key,
+        entry_state=entry_state,
+        conn_stage=uid_lists["conn_stage"],
+        child_uids=child_uids,
+        conn_of=conn_of,
+        conn_meta=uid_lists["conn_meta"],
+        root_stages=shell.root_stages,
+        root_uid=root_uid,
+        best_key=best_key,
+        empty=empty,
+        vfk=vfk_of(dioid),
+        is_chain=all(
+            shell.parent_stage[j] == j - 1 for j in range(num_stages)
+        ),
+        _pairs=uid_lists["pairs"],
+        _take2_heaps=uid_lists["take2"],
+        _sorted_pairs=uid_lists["sorted"],
+        _rea_heaps=uid_lists["rea"],
+    )
+    shell._compiled = compiled
     return compiled

@@ -59,7 +59,7 @@ class EngineStats:
     ``stats.binds += 1`` increments, ``before = stats.binds`` snapshots,
     and ``stats.binds == before + 1`` comparisons all keep exact int
     semantics (an aliasing-free snapshot, unlike handing out the
-    mutable instrument itself).  The ``core_*`` and recovery fields are
+    mutable instrument itself).  The ``core_*`` and ``retries`` fields are
     *mirrors* of authoritative counters elsewhere
     (:class:`~repro.dp.corebuf.CoreCache`,
     :data:`repro.serve.resilience.COUNTERS`) refreshed after every bind
@@ -81,11 +81,8 @@ class EngineStats:
         "core_misses",
         "core_stale",
         "core_writes",
-        #: Recovery mirrors — how often transient faults were absorbed
-        #: (retries), pools respawned, or builds downgraded.
+        #: Recovery mirror — how often transient faults were absorbed.
         "retries",
-        "worker_respawns",
-        "pool_downgrades",
     )
 
     def __init__(self):
@@ -386,7 +383,7 @@ class Engine:
     def prepare(
         self,
         query: ConjunctiveQuery | str,
-        dioid: SelectiveDioid = TROPICAL,
+        dioid: SelectiveDioid | str = TROPICAL,
         algorithm: str = "take2",
         projection: str = "all_weight",
         cycle_threshold: int | None = None,
@@ -403,7 +400,8 @@ class Engine:
         text; text may contain constants (``R(x, 5)``), which compile
         into selections applied at bind time.  Binding is deferred: the
         first execution (or an explicit :meth:`PreparedQuery.bind`) runs
-        the preprocessing phase.
+        the preprocessing phase.  ``dioid`` may be a registry name
+        (``"max-plus"``, see :data:`~repro.ranking.dioid.NAMED_DIOIDS`).
 
         ``shards`` (an int or a prebuilt
         :class:`repro.parallel.sharder.ShardSpec`) routes binding
@@ -417,6 +415,15 @@ class Engine:
         fragmentation.  The remaining ``shard_*`` keywords refine the
         spec (ignored when ``shards`` is ``None`` or already a spec).
         """
+        if isinstance(dioid, str):
+            from repro.ranking.dioid import NAMED_DIOIDS
+
+            if dioid not in NAMED_DIOIDS:
+                raise ValueError(
+                    f"unknown dioid {dioid!r} "
+                    f"(expected one of {sorted(NAMED_DIOIDS)})"
+                )
+            dioid = NAMED_DIOIDS[dioid]
         spec = self._shard_spec(
             shards, shard_atom, shard_strategy, shard_tie_break,
             shard_parallel, shard_workers,
@@ -557,8 +564,6 @@ class Engine:
                 for name, count in recovery.items()
                 if name.startswith("retries_")
             )
-            self.stats.worker_respawns = recovery.get("worker_respawns", 0)
-            self.stats.pool_downgrades = recovery.get("pool_downgrades", 0)
             self._physicals[key] = (version, physical)
             self._physicals.move_to_end(key)
             while len(self._physicals) > self.max_cached_plans:

@@ -96,6 +96,11 @@ class LogicalPlan:
             return self.inner.shard_supported
         return False
 
+    @property
+    def bound_shard(self) -> "ShardSpec | None":
+        """The shard spec the bind honours (``None`` when it runs unsharded)."""
+        return self.shard if self.shard_supported else None
+
     def explain(self, indent: str = "") -> str:
         """A textual rendering of the plan (no data statistics)."""
         lines = [f"{indent}logical plan: {self.query!r}"]
@@ -279,17 +284,23 @@ class PhysicalPlan:
 class AcyclicPhysical(PhysicalPlan):
     """Acyclic full CQ: one T-DP, any-k enumeration (Section 4/5).
 
-    Binding also lowers the built T-DP into its compiled flat core
-    (:func:`repro.dp.flat.compile_tdp`) when the dioid supports it, so
-    the compilation cost lands in ``preprocess_seconds`` — paid once
-    per database version — and every enumeration run (any algorithm,
-    any serving session) starts on the shared arrays.
+    For a ``key_is_value`` dioid ``tdp`` is the connector-free shell of
+    a compiled flat core — lowered straight from the rows at bind
+    (:func:`build_acyclic`) or mapped from the ``.core`` file — so the
+    build cost lands in ``preprocess_seconds``, paid once per database
+    version, and every enumeration run (any algorithm, any serving
+    session) starts on the shared arrays.  Other dioids hold an
+    object-graph T-DP (``compiled`` is then ``None``).
     """
 
-    def __init__(self, logical: LogicalPlan, database: Database, tdp):
+    def __init__(
+        self, logical: LogicalPlan, database: Database, tdp, warm: bool = False
+    ):
         super().__init__(logical, database)
         self.tdp = tdp
         self.compiled = compile_tdp(tdp)
+        #: Whether the core was mapped from the ``.core`` file.
+        self.warm = warm
 
     def close(self) -> None:
         if self.tdp is not None:
@@ -325,13 +336,7 @@ class AcyclicPhysical(PhysicalPlan):
             stats = self.compiled.stats()
             # Mapped warm starts replay the persisted core; flag them so
             # explain() distinguishes a rebuilt plan from a replayed one.
-            from repro.dp.corebuf import MappedShell
-
-            mapped = (
-                " (mapped warm start)"
-                if isinstance(self.tdp, MappedShell)
-                else ""
-            )
+            mapped = " (mapped warm start)" if self.warm else ""
             lines.append(
                 f"  compiled core: {stats['entries']} flat entries "
                 f"({'chain' if self.compiled.is_chain else 'tree'} layout, "
@@ -438,12 +443,10 @@ class MinWeightPhysical(PhysicalPlan):
         self.tdp = (
             None
             if self.fc_plan.empty
-            else build_tdp(
-                self.fc_plan.database, self.fc_plan.tree, dioid=logical.dioid
+            else build_acyclic(
+                self.fc_plan.database, self.fc_plan.tree, logical.dioid
             )
         )
-        if self.tdp is not None:
-            compile_tdp(self.tdp)
 
     def iter(
         self,
@@ -533,12 +536,12 @@ def bind(
 
     ``core_cache`` (a :class:`repro.dp.corebuf.CoreCache`, or ``None``)
     enables warm starts for the acyclic T-DP strategy: a fresh entry for
-    this plan's persistence key skips the build + compile entirely and
-    enumerates straight off the mmapped arrays; a miss or stale entry
-    falls through to the normal build and rewrites the file.
+    this plan's persistence key skips the build entirely and enumerates
+    straight off the mmapped arrays; a miss or stale entry falls through
+    to the normal build and rewrites the file.
 
     ``tracer`` (:class:`repro.obs.trace.Tracer`) records a per-stage
-    span tree of the preprocessing phase — T-DP build, flat compile,
+    span tree of the preprocessing phase — T-DP build, core wrap,
     core-cache load/store, decomposition, shard build.  The default
     no-op tracer keeps the cost at one constant method call per stage.
     """
@@ -548,15 +551,92 @@ def bind(
     return physical
 
 
-def warm_meta(logical: LogicalPlan) -> dict:
-    """The replay recipe stored beside a core entry (``Engine.warm_start``)."""
-    from repro.dp.corebuf import dioid_core_name
+def build_acyclic(database: Database, join_tree: JoinTree, dioid: SelectiveDioid):
+    """The unsharded T-DP of an acyclic full CQ (the bottom-up pass).
 
-    return {
-        "query": logical.query,
-        "dioid": dioid_core_name(logical.dioid),
-        "shards": logical.shard,
-    }
+    ``key_is_value`` dioids lower rows straight into a compiled core —
+    the one-fragment case of the fragment builder — and get back its
+    connector-free shell; other dioids build the object-graph T-DP.
+    """
+    if getattr(dioid, "key_is_value", False):
+        from repro.parallel.build import lower_unsharded
+
+        return lower_unsharded(database, join_tree.query, join_tree, dioid).tdp
+    return build_tdp(database, join_tree, dioid=dioid)
+
+
+class CoreSlot:
+    """One acyclic plan's ``.core`` entry: load before a build, store after.
+
+    Shared by the unsharded bind (one fragment anchored at stage 0) and
+    :func:`repro.parallel.physical.bind_sharded`.  Inert (``key`` is
+    ``None``) without a cache or for a dioid that is not persistable.
+    """
+
+    def __init__(
+        self,
+        core_cache,
+        logical: LogicalPlan,
+        database: Database,
+        join_tree: JoinTree,
+        anchor_stage: int,
+        num_fragments: int,
+        tracer=NULL_TRACER,
+    ):
+        self.core_cache = core_cache
+        self.logical = logical
+        self.database = database
+        self.join_tree = join_tree
+        self.anchor_stage = anchor_stage
+        self.num_fragments = num_fragments
+        self.tracer = tracer
+        self.key = None
+        if core_cache is not None:
+            from repro.dp.corebuf import core_key
+
+            shard = logical.shard
+            self.key = core_key(
+                logical.query,
+                logical.dioid,
+                None if shard is None else shard.cache_key(),
+            )
+
+    def load(self) -> list | None:
+        """The mapped fragment cores of a fresh entry, or ``None``."""
+        if self.key is None:
+            return None
+        with self.tracer.span("core.load", fragments=self.num_fragments) as span:
+            cores = self.core_cache.load(
+                self.key,
+                self.database,
+                self.logical.query,
+                self.join_tree,
+                self.anchor_stage,
+                self.num_fragments,
+            )
+            span.set(hit=cores is not None)
+        return cores
+
+    def store(self, cores: list) -> None:
+        """Write the built cores plus the replay recipe (warm boot)."""
+        if self.key is None:
+            return
+        from repro.dp.corebuf import dioid_core_name, export_fragments
+
+        logical = self.logical
+        with self.tracer.span("core.store", fragments=len(cores)):
+            meta, data = export_fragments(cores, self.anchor_stage)
+            self.core_cache.store(
+                self.key,
+                self.database,
+                meta,
+                data,
+                warm={
+                    "query": logical.query,
+                    "dioid": dioid_core_name(logical.dioid),
+                    "shards": logical.shard,
+                },
+            )
 
 
 def _bind(
@@ -578,35 +658,23 @@ def _bind(
                 core_cache=core_cache,
                 tracer=tracer,
             )
-        key = None
-        if core_cache is not None:
-            from repro.dp.corebuf import core_key
-
-            key = core_key(logical.query, logical.dioid, None)
-            with tracer.span("core.load") as span:
-                shell = core_cache.load_tdp(
-                    key, database, logical.query, logical.join_tree
-                )
-                span.set(hit=shell is not None)
-            if shell is not None:
-                # compile_tdp() inside AcyclicPhysical returns the
-                # pre-assembled mapped core via the TDP memo slot.
-                return AcyclicPhysical(logical, database, shell)
+        slot = CoreSlot(
+            core_cache, logical, database, logical.join_tree, 0, 1, tracer
+        )
+        cores = slot.load()
+        if cores is not None:
+            # compile_tdp() inside AcyclicPhysical returns the
+            # pre-assembled mapped core via the shell's memo slot.
+            return AcyclicPhysical(logical, database, cores[0].tdp, warm=True)
         with tracer.span("tdp.build") as span:
-            tdp = build_tdp(database, logical.join_tree, dioid=logical.dioid)
+            tdp = build_acyclic(database, logical.join_tree, logical.dioid)
             span.set(states=tdp.num_states())
         with tracer.span("tdp.compile") as span:
             physical = AcyclicPhysical(logical, database, tdp)
             if physical.compiled is not None:
                 span.set(entries=physical.compiled.stats()["entries"])
-        if key is not None and physical.compiled is not None:
-            from repro.dp.corebuf import export_compiled
-
-            with tracer.span("core.store"):
-                meta, data = export_compiled(physical.compiled)
-                core_cache.store(
-                    key, database, meta, data, warm=warm_meta(logical)
-                )
+        if physical.compiled is not None:
+            slot.store([physical.compiled])
         return physical
     if strategy == SIMPLE_CYCLE_UNION:
         with tracer.span("decompose", kind="simple-cycle") as span:

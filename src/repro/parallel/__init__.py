@@ -14,9 +14,11 @@ Layout:
 
 * :mod:`repro.parallel.sharder` — fragment planning (:class:`ShardSpec`,
   :class:`Sharder`, anchor-atom heuristic, range/hash partitioning);
-* :mod:`repro.parallel.build` — the fragment preprocessor
-  (:class:`ParallelPreprocessor`): a fused direct-to-compiled key-space
-  builder plus thread-/process-pool worker modes;
+* :mod:`repro.parallel.build` — the direct-to-compiled key-space
+  builder, the engine's one bottom-up pass for ``key_is_value`` dioids
+  (an unsharded bind is its one-fragment case), and the fragment
+  preprocessor (:class:`ParallelPreprocessor`) with fused and
+  thread-pool modes;
 * :mod:`repro.parallel.physical` — :class:`ShardedPhysical`, the engine
   integration (``Engine.prepare(..., shards=N)`` binds through it);
 * :class:`repro.parallel.merge.ShardMerge` — the ranked k-way merge over

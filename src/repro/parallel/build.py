@@ -1,13 +1,12 @@
-"""Multi-core preprocessing: fragment T-DPs built straight to flat arrays.
+"""Direct key-space lowering: fragment T-DPs built straight to flat arrays.
 
-The unsharded bind builds an object-graph :class:`~repro.dp.graph.TDP`
-(Python triples inside :class:`ChoiceSet` objects) and then lowers it to
-a :class:`~repro.dp.flat.CompiledTDP`.  The parallel layer's fragment
-builder skips the intermediate entirely for ``key_is_value`` dioids: it
-lowers each stage *directly* into the compiled core's key-space arrays
-(one bulk backend fetch per stage, native float arithmetic, grouped
-entry pairs), which is what makes a sharded bind faster than the serial
-one even on a single core.
+This is the engine's one bottom-up pass for ``key_is_value`` dioids
+(tropical, max-plus).  Each stage is lowered *directly* into the
+compiled core's key-space arrays — one bulk backend fetch per stage,
+native float arithmetic, grouped entry pairs — with no object-graph
+:class:`~repro.dp.graph.TDP` in between.  An unsharded bind is the
+one-fragment case (:func:`lower_unsharded`): the anchor is the join
+tree's own first root stage and the fragment spans the whole relation.
 
 Work sharing across fragments rests on one structural fact: the
 bottom-up construction never propagates a root restriction downward, so
@@ -21,83 +20,48 @@ fragment-independent**.  The builder therefore runs in two phases:
   anchor relation, resolve child connectors against phase A's join-key
   maps, and emit a per-fragment root connector.
 
-Per-fragment :class:`ShardCompiled` objects alias the shared uid-indexed
-structures (entry pairs, lazily heapified Take2 orders, sorted lists,
-REA heap templates), so ranking structures for shared connectors are
-built once per database version — not once per fragment.
+Per-fragment cores (:func:`repro.dp.flat.assemble_core`) alias the
+shared uid-indexed structures (entry pairs, lazily heapified Take2
+orders, sorted lists, REA heap templates), so ranking structures for
+shared connectors are built once per database version — not once per
+fragment.
 
 Execution modes (resolved by the :class:`~repro.parallel.sharder.Sharder`):
 
-* ``fused``   — both phases in-process; the fastest single-core path.
-* ``thread``  — phase B fragments fan out on a thread pool (the SQLite
+* ``fused``  — both phases in-process; the fastest single-core path.
+* ``thread`` — phase B fragments fan out on a thread pool (the SQLite
   driver releases the GIL inside its C fetch path).
-* ``process`` — phase A runs once in the parent and its pools travel to
-  the workers through one shared-memory segment
-  (:class:`repro.dp.corebuf.ShmPool`): the pool initializer ships the
-  database recipe and the segment *name* once per worker, each task
-  payload is just ``(fragment, shards)``, and workers alias the parent's
-  float pools in place — zero array copies cross the pickle boundary in
-  either direction (workers return compact per-fragment anchor arrays;
-  the parent assembles the cores against its own phase A).  File-backed
-  SQLite reopens once per worker, memory-backed relations ship by value
-  once per worker.
 
 Dioids without the ``key_is_value`` contract — and the ``canonical``
 tie-break, which ranks fragments under the Section 6.3
 :class:`~repro.ranking.dioid.TieBreakingDioid` — keep the generic
-object-graph builder per fragment (:func:`build_object_fragments`).
+object-graph builder per fragment (:func:`build_object_fragment`).
 """
 
 from __future__ import annotations
 
-import pickle
 import time
-from array import array
 from typing import Sequence
 
 from repro.anyk.base import Enumerator, make_enumerator
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.dp.builder import build_tdp
-from repro.dp.corebuf import LazyRows, ShmPool, pack_worker_lower, unpack_worker_lower
-from repro.dp.flat import CompiledTDP
+from repro.dp.flat import (
+    LANE_CALL,
+    LANE_ID,
+    LANE_NEG,
+    CompiledTDP,
+    FragmentTDP,
+    assemble_core,
+    key_lane,
+)
 from repro.dp.graph import TDP
 from repro.obs.trace import NULL_TRACER
 from repro.parallel.sharder import Fragment, ShardPlan, stable_hash
 from repro.query.jointree import JoinTree
 from repro.ranking.dioid import SelectiveDioid, TieBreakingDioid
-from repro.util import faults, vec
-
-#: Total tries for the process-pool fragment build: the initial pool
-#: plus one respawn after a dead worker.  A second crash falls through
-#: to the fused in-process path via :meth:`ParallelPreprocessor._build_flat`.
-POOL_BUILD_ATTEMPTS = 2
-
-
-def _resilience_counters():
-    # Imported on call, not at module load: ``repro.serve`` pulls in the
-    # engine, which (through the sharded-bind path) pulls in this module.
-    from repro.serve.resilience import COUNTERS
-
-    return COUNTERS
-
-#: Key-space transform lanes (see ``_key_lane``).
-_LANE_ID, _LANE_NEG, _LANE_CALL = 0, 1, 2
-
-
-def _key_lane(dioid: SelectiveDioid) -> int:
-    """How raw weights map into key space for this ``key_is_value`` dioid.
-
-    Tropical keys are the values themselves, max-plus keys are their
-    negation; any other (hypothetical) additive float key falls back to
-    calling ``dioid.key`` per row.
-    """
-    probes = (1.25, -3.5, 0.0)
-    if all(dioid.key(p) == p for p in probes):
-        return _LANE_ID
-    if all(dioid.key(p) == -p for p in probes):
-        return _LANE_NEG
-    return _LANE_CALL
+from repro.util import vec
 
 
 def _trailing_rows(
@@ -144,7 +108,7 @@ class SharedLower:
         self.query = query
         self.tree = tree
         self.dioid = dioid
-        self.lane = _key_lane(dioid)
+        self.lane = key_lane(dioid)
         self.order = list(tree.order)
         self.num_stages = len(self.order)
         stage_of_atom = {a: s for s, a in enumerate(self.order)}
@@ -226,8 +190,8 @@ def build_shared_lower(
     start = time.perf_counter()
     shared = SharedLower(query, tree, dioid, anchor_stage)
     lane = shared.lane
-    identity = lane == _LANE_ID
-    negate = lane == _LANE_NEG
+    identity = lane == LANE_ID
+    negate = lane == LANE_NEG
     key_of = dioid.key
 
     for stage in reversed(range(shared.num_stages)):
@@ -360,83 +324,7 @@ def build_shared_lower(
     return shared
 
 
-# -- the per-fragment result-assembly shell ------------------------------------
-
-
-class FragmentTDP(TDP):
-    """A connector-free T-DP shell behind one fragment's compiled core.
-
-    Carries exactly what result assembly needs — per-stage rows, global
-    tuple ids, the query — and no :class:`ChoiceSet` graph (the flat
-    enumerators never walk one).  Stored rows may carry the trailing
-    backend weight; :meth:`witness` slices them back to atom arity.
-    ``_compiled`` points at the fragment's :class:`ShardCompiled`, so
-    ``make_enumerator(shell)`` transparently runs the flat core.
-    """
-
-    def __init__(self, dioid, atom_of_stage, parent_stage, query, join_tree, arities):
-        super().__init__(
-            dioid, atom_of_stage, parent_stage, query=query, join_tree=join_tree
-        )
-        self._arities = list(arities)
-        self._empty = True
-
-    def is_empty(self) -> bool:
-        return self._empty
-
-    def witness(self, states: Sequence[int]) -> tuple:
-        arities = self._arities
-        by_atom = sorted(
-            (self.atom_of_stage[stage], self.tuples[stage][state][: arities[stage]])
-            for stage, state in enumerate(states)
-        )
-        return tuple(t for _atom, t in by_atom)
-
-
-class ShardCompiled(CompiledTDP):
-    """One fragment's compiled core, aliasing the shared structures.
-
-    Never constructed through ``CompiledTDP.__init__``; ``assemble``
-    fills the slots directly.  The uid-indexed lists (entry pairs and
-    the three lazily built ranking-structure caches) are the *same list
-    objects* across all fragments of a shard plan — a ranking structure
-    for a shared connector is built once and reused by every fragment,
-    algorithm, and serving session (the lazy fill is the same benign
-    race the base class documents).
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def assemble(cls, **fields) -> "ShardCompiled":
-        self = cls.__new__(cls)
-        for name, value in fields.items():
-            setattr(self, name, value)
-        return self
-
-    def conn_size(self, uid: int) -> int:
-        return len(self._pairs[uid])
-
-    def stats(self) -> dict:
-        return {
-            "stages": self.num_stages,
-            "connectors": self.num_connectors,
-            "entries": sum(len(p) for p in self._pairs if p),
-            "states": sum(len(v) for v in self.values_key),
-            "empty": self.empty,
-        }
-
-
 # -- phase B: one fragment -----------------------------------------------------
-
-
-def _values_from_keys(dioid: SelectiveDioid, keys: list[float], lane: int) -> list:
-    if lane == _LANE_ID:
-        return keys  # the key *is* the value: alias, no copy
-    if lane == _LANE_NEG:
-        return [-k for k in keys]
-    vfk = dioid.value_from_key
-    return [vfk(k) for k in keys]
 
 
 #: Row count below which the vectorized phase-B scan is not worth the
@@ -444,44 +332,11 @@ def _values_from_keys(dioid: SelectiveDioid, keys: list[float], lane: int) -> li
 _VEC_SCAN_MIN = 512
 
 
-class _AnchorScan:
-    """The anchor scan's inputs, decoupled from :class:`SharedLower`.
-
-    Built either from a parent-process ``SharedLower`` or, in a pool
-    worker, from the shared-memory :class:`~repro.dp.corebuf.WorkerLower`
-    (whose ``conn_min`` is a memoryview aliasing the owner's pool).
-    """
-
-    __slots__ = (
-        "warity", "check_repeats", "satisfies", "lookups", "lane",
-        "key_of", "conn_min",
-    )
-
-    def __init__(self, atom, lookups, lane, key_of, conn_min):
-        self.warity = atom.arity
-        self.check_repeats = atom.has_repeated_variables()
-        self.satisfies = atom.satisfies_repeats
-        self.lookups = lookups
-        self.lane = lane
-        self.key_of = key_of
-        self.conn_min = conn_min
-
-
-def _anchor_scan_of(shared: SharedLower) -> _AnchorScan:
-    anchor = shared.anchor_stage
-    atom = shared.query.atoms[shared.order[anchor]]
-    return _AnchorScan(
-        atom, shared.child_lookups(anchor), shared.lane,
-        shared.dioid.key, shared.conn_min,
-    )
-
-
 def _scan_anchor_vec(
-    scan: _AnchorScan,
+    shared: SharedLower,
     rows: list[tuple],
     base: int | None,
     global_ids: Sequence[int] | None,
-    keep_tuples: bool,
 ):
     """Vectorized chain-shape anchor scan (identity/negate lanes only).
 
@@ -493,9 +348,9 @@ def _scan_anchor_vec(
     (``.tolist()``): nothing downstream ever sees a numpy type.
     """
     np = vec.np
-    child_col, _positions, cmap = scan.lookups[0]
+    child_col, _positions, cmap = shared.child_lookups(shared.anchor_stage)[0]
     cm_get = cmap.get
-    warity = scan.warity
+    warity = shared.arities[shared.anchor_stage]
     n = len(rows)
     cu_all = np.fromiter(
         (cm_get(row[child_col], -1) for row in rows), np.int64, n
@@ -504,14 +359,14 @@ def _scan_anchor_vec(
     cu = cu_all[alive]
     alive_list = alive.tolist()
     w = np.fromiter((rows[i][warity] for i in alive_list), np.float64, len(alive_list))
-    k = w if scan.lane == _LANE_ID else -w
-    pi = np.asarray(scan.conn_min, dtype=np.float64)[cu]
+    k = w if shared.lane == LANE_ID else -w
+    pi = np.asarray(shared.conn_min, dtype=np.float64)[cu]
     ek = k + pi
     vk_out = k.tolist()
     pk_out = pi.tolist()
     cu_out = cu.tolist()
     entries = list(zip(ek.tolist(), range(len(vk_out))))
-    tuples_out = [rows[i] for i in alive_list] if keep_tuples else []
+    tuples_out = [rows[i] for i in alive_list]
     if base is not None:
         ids_out = (alive + base).tolist()
     else:
@@ -520,37 +375,37 @@ def _scan_anchor_vec(
 
 
 def _scan_anchor(
-    scan: _AnchorScan,
+    shared: SharedLower,
     rows: list[tuple],
     base: int | None,
     global_ids: Sequence[int] | None,
-    keep_tuples: bool = True,
 ):
     """Phase B scan: lower one fragment's anchor rows to flat arrays.
 
     Returns ``(entries, tuples_out, ids_out, vk_out, pk_out, cu_out)``;
-    ``entries`` states are sequential (``0 .. alive-1``), which is what
-    lets pool workers ship only the value arrays.
+    ``entries`` states are sequential (``0 .. alive-1``).
     """
-    warity = scan.warity
-    check_repeats = scan.check_repeats
-    satisfies = scan.satisfies
-    lookups = scan.lookups
-    lane = scan.lane
-    identity = lane == _LANE_ID
-    negate = lane == _LANE_NEG
-    key_of = scan.key_of
-    conn_min = scan.conn_min
+    anchor = shared.anchor_stage
+    atom = shared.query.atoms[shared.order[anchor]]
+    warity = atom.arity
+    check_repeats = atom.has_repeated_variables()
+    satisfies = atom.satisfies_repeats
+    lookups = shared.child_lookups(anchor)
+    lane = shared.lane
+    identity = lane == LANE_ID
+    negate = lane == LANE_NEG
+    key_of = shared.dioid.key
+    conn_min = shared.conn_min
 
     chain = len(lookups) == 1 and lookups[0][0] is not None
     if (
         chain
         and not check_repeats
-        and lane != _LANE_CALL
+        and lane != LANE_CALL
         and len(rows) >= _VEC_SCAN_MIN
         and vec.np is not None
     ):
-        return _scan_anchor_vec(scan, rows, base, global_ids, keep_tuples)
+        return _scan_anchor_vec(shared, rows, base, global_ids)
 
     tuples_out: list[tuple] = []
     ids_out: list[int] = []
@@ -579,8 +434,7 @@ def _scan_anchor(
             w = row[warity]
             k = w if identity else (-w if negate else key_of(w))
             e_append((k + pi, state))
-            if keep_tuples:
-                t_append(row)
+            t_append(row)
             i_append(base + local if base is not None else global_ids[local])
             v_append(k)
             p_append(pi)
@@ -608,8 +462,7 @@ def _scan_anchor(
             w = row[warity]
             k = w if identity else (-w if negate else key_of(w))
             e_append((k + pi, state))
-            if keep_tuples:
-                t_append(row)
+            t_append(row)
             i_append(base + local if base is not None else global_ids[local])
             v_append(k)
             p_append(pi)
@@ -625,52 +478,37 @@ def build_fragment(
     rows: list[tuple],
     global_ids: Sequence[int] | None,
     uid: int,
-    uid_space: int,
-    shared_lists: dict,
-) -> tuple[ShardCompiled, float]:
+    uid_lists: dict,
+) -> tuple[CompiledTDP, float]:
     """Phase B: lower one anchor fragment and assemble its compiled core.
 
     ``rows`` is the fragment's slice of the anchor relation (trailing
     weight); ``global_ids`` maps local row positions to insertion
     positions (``None`` for range fragments, whose ids are ``lo +
     local``).  ``uid`` is the fragment root connector's id inside the
-    common uid space of ``uid_space`` connectors; ``shared_lists`` holds
-    the cross-fragment aliased structures (see :func:`_shared_lists`).
+    common uid space; ``uid_lists`` holds the cross-fragment aliased
+    structures (see :func:`_uid_lists`).
     """
     start = time.perf_counter()
     base = fragment.lo if global_ids is None else None
-    scan_out = _scan_anchor(_anchor_scan_of(shared), rows, base, global_ids)
-    compiled = _assemble_fragment(shared, scan_out, uid, uid_space, shared_lists)
-    return compiled, time.perf_counter() - start
-
-
-def _assemble_fragment(
-    shared: SharedLower,
-    scan_out: tuple,
-    uid: int,
-    uid_space: int,
-    shared_lists: dict,
-) -> ShardCompiled:
-    """Assemble one fragment's :class:`ShardCompiled` from its scan output."""
-    entries, tuples_out, ids_out, vk_out, pk_out, cu_out = scan_out
-    query = shared.query
+    entries, tuples_out, ids_out, vk_out, pk_out, cu_out = _scan_anchor(
+        shared, rows, base, global_ids
+    )
     anchor = shared.anchor_stage
-    lane = shared.lane
     conn_min = shared.conn_min
-    num_stages = shared.num_stages
-    children = shared.children_stages
-    fanout = len(children[anchor])
-    root_stages = [s for s, p in enumerate(shared.parent_stage) if p == -1]
+    children = shared.children_stages[anchor]
+    fanout = len(children)
 
     empty = not entries or not shared.complete
-    frag_min = min(entries)[0] if entries else None
     best_key = 0.0
-    for root in root_stages:
+    for root, parent in enumerate(shared.parent_stage):
+        if parent != -1:
+            continue
         if root == anchor:
-            if frag_min is None:
+            if not entries:
                 empty = True
                 break
-            best_key = best_key + frag_min
+            best_key = best_key + min(entries)[0]
         else:
             root_conn = shared.root_uid.get(root)
             if root_conn is None:
@@ -680,10 +518,9 @@ def _assemble_fragment(
     if empty:
         best_key = shared.dioid.key(shared.dioid.zero)
 
-    pairs = shared_lists["pairs"]
-    pairs[uid] = entries
-    conn_stage = shared_lists["conn_stage"]
-    conn_stage[uid] = anchor
+    uid_lists["pairs"][uid] = entries
+    uid_lists["conn_stage"][uid] = anchor
+    uid_lists["conn_meta"][uid] = (fanout, vk_out, cu_out, anchor)
 
     values_key = list(shared.values_key)
     values_key[anchor] = vk_out
@@ -692,77 +529,27 @@ def _assemble_fragment(
     child_uids = list(shared.child_uids)
     child_uids[anchor] = cu_out
     conn_of = list(shared.conn_of)
-    for branch, child in enumerate(children[anchor]):
-        conn_of[child] = cu_out[branch::fanout] if fanout else []
+    for branch, child in enumerate(children):
+        conn_of[child] = cu_out[branch::fanout]
     root_uid = dict(shared.root_uid)
     root_uid[anchor] = uid
-    conn_meta = shared_lists["conn_meta"]
-    conn_meta[uid] = (fanout, vk_out, cu_out, anchor)
 
-    dioid = shared.dioid
     shell = FragmentTDP(
-        dioid,
-        shared.order,
-        shared.parent_stage,
-        query,
+        shared.dioid, shared.order, shared.parent_stage, shared.query,
         shared.tree,
-        shared.arities,
     )
     shell.tuples = list(shared.tuples)
     shell.tuples[anchor] = tuples_out
     shell.tuple_ids = list(shared.tuple_ids)
     shell.tuple_ids[anchor] = ids_out
-    shell.values = [
-        _values_from_keys(dioid, keys, lane) for keys in values_key
-    ]
-    shell.pi1 = [_values_from_keys(dioid, keys, lane) for keys in pi1_key]
-    shell.num_connectors = uid_space
-    shell.best_weight = (
-        dioid.zero if empty else dioid.value_from_key(best_key)
+    compiled = assemble_core(
+        shell, values_key, pi1_key, child_uids, conn_of, root_uid,
+        best_key, empty, uid_lists,
     )
-    shell._empty = empty
-
-    vfk = (
-        None
-        if type(dioid).value_from_key is SelectiveDioid.value_from_key
-        else dioid.value_from_key
-    )
-    compiled = ShardCompiled.assemble(
-        tdp=shell,
-        dioid=dioid,
-        num_stages=num_stages,
-        num_connectors=uid_space,
-        parent_stage=shared.parent_stage,
-        children_stages=children,
-        branch_index=shell.branch_index,
-        num_branches=[len(c) for c in children],
-        values_key=values_key,
-        pi1_key=pi1_key,
-        conn_offsets=None,
-        entry_key=None,
-        entry_state=None,
-        conn_stage=conn_stage,
-        child_uids=child_uids,
-        conn_of=conn_of,
-        conn_meta=conn_meta,
-        root_stages=root_stages,
-        root_uid=root_uid,
-        best_key=best_key,
-        empty=empty,
-        vfk=vfk,
-        is_chain=all(
-            shared.parent_stage[j] == j - 1 for j in range(num_stages)
-        ),
-        _pairs=pairs,
-        _take2_heaps=shared_lists["take2"],
-        _sorted_pairs=shared_lists["sorted"],
-        _rea_heaps=shared_lists["rea"],
-    )
-    shell._compiled = compiled
-    return compiled
+    return compiled, time.perf_counter() - start
 
 
-def _shared_lists(shared: SharedLower, num_fragments: int) -> dict:
+def _uid_lists(shared: SharedLower, num_fragments: int) -> dict:
     """The cross-fragment aliased uid-indexed structures (pre-sized).
 
     Fragment slots are assigned by index, so concurrent phase-B builds
@@ -789,6 +576,27 @@ def _shared_lists(shared: SharedLower, num_fragments: int) -> dict:
         "sorted": [None] * total,
         "rea": [None] * total,
     }
+
+
+def lower_unsharded(
+    database: Database, query, tree: JoinTree, dioid: SelectiveDioid
+) -> CompiledTDP:
+    """The unsharded bind's core: one fragment, no merge, no re-root.
+
+    The anchor is the join tree's own first root stage and the fragment
+    spans the whole relation, so states, entry order, and keys are
+    exactly those :func:`repro.dp.builder.build_tdp` +
+    :func:`repro.dp.flat.compile_tdp` would produce — without the
+    object graph in between.  The returned core's ``tdp`` is its
+    :class:`~repro.dp.flat.FragmentTDP` shell.
+    """
+    shared = build_shared_lower(database, query, tree, dioid, 0)
+    rows = _trailing_rows(_anchor_relation(database, query, shared.order, 0))
+    compiled, _seconds = build_fragment(
+        shared, Fragment(0, "range", 0, len(rows)), rows, None,
+        shared.num_conns, _uid_lists(shared, 1),
+    )
+    return compiled
 
 
 # -- fragment row sources ------------------------------------------------------
@@ -861,150 +669,6 @@ def build_object_fragment(
     return tdp
 
 
-# -- process-mode worker -------------------------------------------------------
-
-
-def _database_recipe(database: Database) -> dict:
-    """A picklable description a worker can reopen the database from.
-
-    Shipped exactly once per worker, through the pool *initializer* —
-    never inside per-fragment task payloads (a memory-backend recipe
-    carries full ``(arity, tuples, weights)`` tables, so per-payload
-    shipping used to re-pickle the whole database per fragment).
-    """
-    backend = database.backend
-    path = getattr(backend, "path", None)
-    if backend is not None and path is not None and path != ":memory:":
-        return {
-            "kind": "sqlite",
-            "path": path,
-            "tables": {
-                relation.name: relation.table for relation in database
-            },
-        }
-    return {
-        "kind": "memory",
-        "relations": {
-            relation.name: (
-                relation.arity,
-                list(relation.tuples),
-                list(relation.weights),
-            )
-            for relation in database
-        },
-    }
-
-
-def _open_recipe(recipe: dict) -> Database:
-    if recipe["kind"] == "sqlite":
-        from repro.data.backend import SQLiteBackend
-
-        backend = SQLiteBackend(recipe["path"])
-        database = Database(
-            [
-                Relation.from_backend(backend, name, table)
-                for name, table in recipe["tables"].items()
-            ]
-        )
-        database.backend = backend
-        return database
-    return Database(
-        [
-            Relation(name, arity, tuples, weights)
-            for name, (arity, tuples, weights) in recipe["relations"].items()
-        ]
-    )
-
-
-#: Per-worker state set by :func:`_init_scan_worker` (one initializer
-#: call per pool worker; task payloads carry only ``(fragment, shards)``).
-_WORKER: dict | None = None
-
-
-def _init_scan_worker(
-    shm_name: str, recipe: dict, query, anchor_atom_index: int,
-    anchor_relation_name: str, dioid: SelectiveDioid,
-) -> None:
-    """Pool initializer: open the database, attach the shared pool.
-
-    Runs once per worker process.  The database connection and the
-    shared-memory attachment live for the pool's lifetime; both are
-    released explicitly at interpreter exit (``atexit``) so worker
-    shutdown stays free of ``resource_tracker`` warnings even when the
-    parent tears the pool down on an error path.
-    """
-    global _WORKER
-    import atexit
-
-    database = _open_recipe(recipe)
-    pool = ShmPool.attach(shm_name)
-    lower = unpack_worker_lower(pool.buf)
-    atom = query.atoms[anchor_atom_index]
-    _WORKER = {
-        "database": database,
-        "pool": pool,
-        "scan": _AnchorScan(
-            atom, lower.lookups, lower.lane, dioid.key, lower.conn_min
-        ),
-        "relation": database[anchor_relation_name],
-        "buckets": None,
-    }
-    atexit.register(database.close)
-
-
-def _scan_worker_fragment(task: tuple) -> tuple:
-    """Worker entry point: phase-B scan of one fragment, arrays only.
-
-    Phase A is *not* rebuilt here — the scan resolves its child
-    connectors against the shared-memory pool the initializer attached.
-    The return value is four compact typed arrays (anchor value keys,
-    pi1 keys, child uids, global tuple ids); entry states are implied
-    (sequential) and anchor rows are re-fetched lazily by the parent, so
-    no row data or entry pools are pickled back either.
-    """
-    faults.hit("worker.scan")  # chaos hook: fork-inherited plans can
-    # kill exactly one worker here (exit + token file) to prove the
-    # parent's respawn path reproduces bit-identical fragments.
-    fragment, shards = task
-    state = _WORKER
-    start = time.perf_counter()
-    relation = state["relation"]
-    if fragment.kind == "range":
-        rows = _trailing_rows(relation, fragment.lo, fragment.hi)
-        gids = None
-        base = fragment.lo
-    else:
-        buckets = state["buckets"]
-        if buckets is None:
-            buckets = state["buckets"] = _hash_buckets(relation, shards)
-        rows, gids = buckets[fragment.index]
-        base = None
-    _entries, _tuples, ids_out, vk_out, pk_out, cu_out = _scan_anchor(
-        state["scan"], rows, base, gids, keep_tuples=False
-    )
-    return (
-        fragment.index,
-        array("d", vk_out),
-        array("d", pk_out),
-        array("q", cu_out),
-        array("q", ids_out),
-        time.perf_counter() - start,
-    )
-
-
-def _probe_worker_pool(sample_index: int) -> tuple:
-    """Test hook: what this worker observes through the shared pool.
-
-    Returns the pool segment name, the aliased ``conn_min`` length and
-    a sampled element — evidence that the worker reads the parent's
-    pool bytes in place rather than a pickled copy.
-    """
-    state = _WORKER
-    conn_min = state["scan"].conn_min
-    sample = conn_min[sample_index] if len(conn_min) else None
-    return state["pool"].name, len(conn_min), sample
-
-
 # -- orchestration -------------------------------------------------------------
 
 
@@ -1016,7 +680,7 @@ class FragmentRuntime:
     def __init__(
         self,
         index: int,
-        compiled: ShardCompiled | None,
+        compiled: CompiledTDP | None,
         tdp: TDP | None,
         seconds: float,
         anchor_stage: int = 0,
@@ -1060,13 +724,7 @@ class PreprocessResult:
 
 
 class ParallelPreprocessor:
-    """Builds every fragment of a shard plan, per the resolved mode.
-
-    The worker-pool modes degrade gracefully: an unavailable process
-    pool (sandboxed environments without semaphores, say) falls back to
-    the fused in-process path and records a note the physical plan's
-    ``explain`` surfaces, rather than failing the bind.
-    """
+    """Builds every fragment of a shard plan, per the resolved mode."""
 
     def __init__(
         self,
@@ -1111,26 +769,6 @@ class ParallelPreprocessor:
 
     def _build_flat(self) -> PreprocessResult:
         plan = self.shard_plan
-        notes = list(plan.notes)
-        mode = plan.mode
-        if mode == "process":
-            try:
-                return self._build_flat_process(notes)
-            except (
-                OSError,            # spawn/semaphore restrictions
-                ImportError,
-                PermissionError,
-                RuntimeError,       # incl. BrokenProcessPool (worker died)
-                pickle.PicklingError,
-            ) as exc:
-                _resilience_counters().bump("pool_downgrades")
-                with self.tracer.span("pool.downgrade", reason=repr(exc)):
-                    pass
-                notes.append(
-                    f"process pool unavailable ({exc!r}); fell back to "
-                    "the fused in-process build"
-                )
-                mode = "fused"
         with self.tracer.span("shared.lower") as span:
             shared = build_shared_lower(
                 self.database,
@@ -1140,16 +778,15 @@ class ParallelPreprocessor:
                 plan.anchor_stage,
             )
             span.set(connectors=shared.num_conns)
-        lists = _shared_lists(shared, len(plan.fragments))
+        lists = _uid_lists(shared, len(plan.fragments))
         sources = self._flat_fragment_sources(shared)
-        uid_space = shared.num_conns + len(plan.fragments)
 
         def one(source) -> FragmentRuntime:
             fragment, loader = source
             rows, gids = loader(fragment)
             compiled, seconds = build_fragment(
                 shared, fragment, rows, gids,
-                shared.num_conns + fragment.index, uid_space, lists,
+                shared.num_conns + fragment.index, lists,
             )
             return FragmentRuntime(
                 fragment.index, compiled, None, seconds,
@@ -1160,9 +797,9 @@ class ParallelPreprocessor:
         # trace context, so per-fragment timing is reported through
         # FragmentRuntime.seconds instead of worker-side spans.
         with self.tracer.span(
-            "fragments.fanout", fragments=len(sources), mode=mode
+            "fragments.fanout", fragments=len(sources), mode=plan.mode
         ):
-            if mode == "thread" and plan.workers > 1:
+            if plan.mode == "thread" and plan.workers > 1:
                 from concurrent.futures import ThreadPoolExecutor
 
                 with ThreadPoolExecutor(max_workers=plan.workers) as pool:
@@ -1170,102 +807,8 @@ class ParallelPreprocessor:
             else:
                 fragments = [one(source) for source in sources]
         return PreprocessResult(
-            fragments, mode, plan.workers, shared.seconds, notes, None
-        )
-
-    def _build_flat_process(self, notes: list[str]) -> PreprocessResult:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        plan = self.shard_plan
-        query = self.logical.query
-        with self.tracer.span("shared.lower") as span:
-            shared = build_shared_lower(
-                self.database, query, plan.join_tree,
-                self.logical.dioid, plan.anchor_stage,
-            )
-            span.set(connectors=shared.num_conns)
-        lists = _shared_lists(shared, len(plan.fragments))
-        uid_space = shared.num_conns + len(plan.fragments)
-        recipe = _database_recipe(self.database)
-        anchor_atom_index = shared.order[plan.anchor_stage]
-        anchor_name = query.atoms[anchor_atom_index].relation_name
-        tasks = [
-            (fragment, plan.spec.shards) for fragment in plan.fragments
-        ]
-        context = None
-        try:
-            import multiprocessing
-
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-posix platforms
-            context = None
-        # Phase A crosses into the workers through one shared-memory
-        # segment; only its *name* rides in the initargs, and the task
-        # payloads above carry no arrays at all.
-        shm_pool = ShmPool.create(pack_worker_lower(shared))
-        try:
-            # A worker killed mid-build (OOM, segfault, injected exit)
-            # breaks the whole pool; the build is a pure function of the
-            # shared lower + fragment spec, so rerunning it on a fresh
-            # pool reproduces bit-identical fragments.
-            for attempt in range(POOL_BUILD_ATTEMPTS):
-                faults.hit("pool.submit")
-                try:
-                    with ProcessPoolExecutor(
-                        max_workers=plan.workers,
-                        mp_context=context,
-                        initializer=_init_scan_worker,
-                        initargs=(
-                            shm_pool.name, recipe, query, anchor_atom_index,
-                            anchor_name, self.logical.dioid,
-                        ),
-                    ) as pool:
-                        results = list(pool.map(_scan_worker_fragment, tasks))
-                    break
-                except BrokenProcessPool:
-                    if attempt == POOL_BUILD_ATTEMPTS - 1:
-                        raise
-                    _resilience_counters().bump("worker_respawns")
-                    notes.append(
-                        "worker pool died mid-build; respawned the pool "
-                        f"and retried (attempt {attempt + 2} of "
-                        f"{POOL_BUILD_ATTEMPTS})"
-                    )
-                    with self.tracer.span("pool.respawn", attempt=attempt + 2):
-                        pass
-        finally:
-            shm_pool.destroy()
-        relation = _anchor_relation(
-            self.database, query, shared.order, plan.anchor_stage
-        )
-        fragments = []
-        for index, vk, pk, cu, ids, seconds in sorted(results):
-            vk_out = vk.tolist()
-            pk_out = pk.tolist()
-            ids_out = ids.tolist()
-            entries = [
-                (v + p, s) for s, (v, p) in enumerate(zip(vk_out, pk_out))
-            ]
-            scan_out = (
-                entries,
-                LazyRows(relation, ids_out),
-                ids_out,
-                vk_out,
-                pk_out,
-                cu.tolist(),
-            )
-            compiled = _assemble_fragment(
-                shared, scan_out, shared.num_conns + index, uid_space, lists
-            )
-            fragments.append(
-                FragmentRuntime(
-                    index, compiled, None, seconds,
-                    anchor_stage=plan.anchor_stage,
-                )
-            )
-        return PreprocessResult(
-            fragments, "process", plan.workers, shared.seconds, notes, None
+            fragments, plan.mode, plan.workers, shared.seconds,
+            list(plan.notes), None,
         )
 
     # -- object path -----------------------------------------------------------

@@ -9,6 +9,11 @@ read-only during enumeration and algorithm-independent: the engine
 shares one sharded bind across all any-k variants, cursors, and serving
 sessions of a database version, and the version-stamp scheme invalidates
 it exactly like an unsharded plan.
+
+The unsharded bind of a ``key_is_value`` plan runs the same fragment
+builder with one fragment (:func:`repro.parallel.build.lower_unsharded`)
+and no merge; both binds load and store their cores through one
+:class:`~repro.engine.plan.CoreSlot`, in the one ``.core`` entry layout.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.data.database import Database
-from repro.engine.plan import LogicalPlan, PhysicalPlan
+from repro.engine.plan import CoreSlot, LogicalPlan, PhysicalPlan
 from repro.enumeration.result import QueryResult
 from repro.obs.trace import NULL_TRACER
 from repro.parallel.build import (
@@ -185,8 +190,8 @@ def bind_sharded(
     *planned* (cheap, metadata-only) — the stored cores are validated
     against the fresh plan's anchor stage and fragment count.
 
-    An *explicitly* requested build mode (``parallel="fused"/"thread"/
-    "process"``) always builds with that mode: the warm start only
+    An *explicitly* requested build mode (``parallel="fused"`` or
+    ``"thread"``) always builds with that mode: the warm start only
     replaces the build under the default ``"auto"`` policy, where the
     engine is free to pick the fastest path.  Cold ``auto`` builds
     still write the core so the next process can warm-start.
@@ -203,57 +208,35 @@ def bind_sharded(
             shards=len(shard_plan.fragments),
             anchor_atom=shard_plan.anchor_atom,
         )
-    key = None
-    if core_cache is not None and flat_path and spec.parallel == "auto":
-        from repro.dp.corebuf import core_key
-
-        key = core_key(logical.query, logical.dioid, spec.cache_key())
-        with tracer.span("core.load", fragments=len(shard_plan.fragments)) as span:
-            cores = core_cache.load_fragment_cores(
-                key,
-                database,
-                logical.query,
-                shard_plan.join_tree,
-                shard_plan.anchor_stage,
-                len(shard_plan.fragments),
-            )
-            span.set(hit=cores is not None)
-        if cores is not None:
-            fragments = [
-                FragmentRuntime(
-                    index, core, None, 0.0, shard_plan.anchor_stage
-                )
-                for index, core in enumerate(cores)
-            ]
-            result = PreprocessResult(
-                fragments,
-                "mmap",
-                shard_plan.workers,
-                0.0,
-                list(shard_plan.notes) + ["warm start from compiled core file"],
-                None,
-            )
-            return ShardedPhysical(logical, database, shard_plan, result)
+    slot = CoreSlot(
+        core_cache if flat_path and spec.parallel == "auto" else None,
+        logical,
+        database,
+        shard_plan.join_tree,
+        shard_plan.anchor_stage,
+        len(shard_plan.fragments),
+        tracer,
+    )
+    cores = slot.load()
+    if cores is not None:
+        fragments = [
+            FragmentRuntime(index, core, None, 0.0, shard_plan.anchor_stage)
+            for index, core in enumerate(cores)
+        ]
+        result = PreprocessResult(
+            fragments,
+            "mmap",
+            shard_plan.workers,
+            0.0,
+            list(shard_plan.notes) + ["warm start from compiled core file"],
+            None,
+        )
+        return ShardedPhysical(logical, database, shard_plan, result)
     with tracer.span("fragments.build") as span:
         result = ParallelPreprocessor(
             database, logical, shard_plan, tracer=tracer
         ).build()
         span.set(mode=result.mode, workers=result.workers)
-    if (
-        key is not None
-        and result.tie is None
-        and result.fragments
-        and all(f.compiled is not None for f in result.fragments)
-    ):
-        from repro.dp.corebuf import export_fragments
-
-        from repro.engine.plan import warm_meta
-
-        with tracer.span("core.store", fragments=len(result.fragments)):
-            meta, data = export_fragments(
-                [f.compiled for f in result.fragments], shard_plan.anchor_stage
-            )
-            core_cache.store(
-                key, database, meta, data, warm=warm_meta(logical)
-            )
+    if result.fragments and all(f.compiled is not None for f in result.fragments):
+        slot.store([f.compiled for f in result.fragments])
     return ShardedPhysical(logical, database, shard_plan, result)

@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 VALID_STRATEGIES = ("range", "hash")
 VALID_TIE_BREAKS = ("arrival", "canonical")
-VALID_PARALLEL = ("auto", "fused", "thread", "process")
+VALID_PARALLEL = ("auto", "fused", "thread")
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class ShardSpec:
     strategy: str = "range"
     tie_break: str = "arrival"
     parallel: str = "auto"
-    #: Worker-pool width for the thread/process modes (None = auto).
+    #: Worker-pool width for the thread mode (None = auto).
     workers: int | None = None
 
     def __post_init__(self):
@@ -142,8 +142,9 @@ def stable_hash(values: tuple) -> int:
     """A deterministic content hash (process- and run-independent).
 
     ``hash()`` is salted per process (PYTHONHASHSEED), which would make
-    hash fragments differ between a parent and its pool workers; CRC32
-    over the canonical repr is stable everywhere and cheap in C.
+    hash fragments — and so the stored ``.core`` entries — differ between
+    processes; CRC32 over the canonical repr is stable everywhere and
+    cheap in C.
     """
     return zlib.crc32(repr(values).encode("utf-8", "surrogatepass"))
 
@@ -172,7 +173,7 @@ class ShardPlan:
         #: (the default), re-rooted at the anchor otherwise.
         self.join_tree = join_tree
         self.fragments = fragments
-        #: Resolved execution mode: 'fused' | 'thread' | 'process'.
+        #: Resolved execution mode: 'fused' | 'thread'.
         self.mode = mode
         self.workers = workers
         self.notes = notes
@@ -215,11 +216,7 @@ class Sharder:
     (the fastest measured path: direct-to-compiled lowering, shared
     lower stages, bulk backend scans), upgrading to a thread pool for
     phase B only where workers genuinely overlap — SQLite backends on
-    multi-core hosts, whose C fetch path releases the GIL.  The process
-    pool (fully GIL-free, picklable compiled cores, redundant lower
-    stages per worker) is an explicit opt-in for wide hosts with large
-    anchors.  Canonical/object fragment builds never use processes
-    (their T-DPs carry tie-breaking closures).
+    multi-core hosts, whose C fetch path releases the GIL.
     """
 
     def __init__(self, database: "Database", indexes=None):
@@ -314,16 +311,13 @@ class Sharder:
     def resolve_mode(
         self, spec: ShardSpec, flat_path: bool
     ) -> tuple[str, int, list[str]]:
-        """Resolve ``auto`` and sanity-check explicit mode requests.
+        """Resolve ``auto`` into ``fused`` or ``thread``.
 
         The ``auto`` policy follows the committed measurements in
         ``BENCH_parallel.json``: the fused build (shared lower stages,
-        no pool) is the fastest or tied everywhere on small hosts, a
-        thread pool helps only where workers overlap GIL-released C
-        work (the SQLite fetch path on a multi-core host), and the
-        process pool — whose workers redundantly rebuild the shared
-        lower stages and pay fork+pickle per bind — only pays off on
-        wide hosts with large anchors, so it stays an explicit opt-in.
+        no pool) is the fastest or tied everywhere on small hosts, and
+        a thread pool helps only where workers overlap GIL-released C
+        work (the SQLite fetch path on a multi-core host).
         """
         cpus = os.cpu_count() or 1
         workers = spec.workers or max(1, min(spec.shards, cpus))
@@ -345,29 +339,7 @@ class Sharder:
                     "auto mode: fused in-process build (shared lower "
                     "stages, no pool overhead)"
                 )
-        if mode == "process" and not flat_path:
-            mode = "thread"
-            notes.append(
-                "process mode downgraded to threads: object-graph "
-                "fragment T-DPs carry non-picklable tie-breaking closures"
-            )
-        if mode == "process" and not self._processable():
-            mode = "thread"
-            notes.append(
-                "process mode downgraded to threads: the database cannot "
-                "be reopened in a worker (:memory: SQLite)"
-            )
         return mode, workers, notes
-
-    def _processable(self) -> bool:
-        """Whether fragment builds can run in worker processes."""
-        backend = self.database.backend
-        if backend is None:
-            return True  # plain in-memory rows: shipped by value
-        path = getattr(backend, "path", None)
-        if path is None:
-            return True  # MemoryBackend
-        return path != ":memory:"  # file-backed SQLite reopens per worker
 
     # -- entry point -----------------------------------------------------------
 

@@ -86,6 +86,7 @@ HTTP_STATUS = {
     protocol.ERR_UNKNOWN_CURSOR: 404,
     protocol.ERR_THROTTLED: 429,
     protocol.ERR_INTERNAL: 500,
+    protocol.ERR_UNSUPPORTED: 501,
     protocol.ERR_OVERLOADED: 503,
     protocol.ERR_DEADLINE: 504,
 }
@@ -100,6 +101,7 @@ _REASONS = {
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
     504: "Gateway Timeout",
     101: "Switching Protocols",
@@ -108,6 +110,14 @@ _REASONS = {
 #: RFC 6455 handshake GUID.
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 _WS_TEXT, _WS_CLOSE, _WS_PING, _WS_PONG = 0x1, 0x8, 0x9, 0xA
+
+class _RequestError(ValueError):
+    """A request refused while parsing: answered with ``code``, then closed."""
+
+    def __init__(self, message: str, code: str = protocol.ERR_BAD_REQUEST):
+        super().__init__(message)
+        self.code = code
+
 
 #: Paths → protocol ops for the request/response endpoints.
 _POST_OPS = {
@@ -412,7 +422,18 @@ class GatewayServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        if "transfer-encoding" in headers:
+            # Without this the chunk bytes would parse as a second
+            # pipelined request and desync the connection.
+            raise _RequestError(
+                f"Transfer-Encoding {headers['transfer-encoding']!r} is not "
+                "supported; send the body with a Content-Length",
+                protocol.ERR_UNSUPPORTED,
+            )
+        raw_length = headers.get("content-length", "0")
+        if not raw_length.isascii() or not raw_length.isdigit():
+            raise _RequestError(f"invalid Content-Length {raw_length!r}")
+        length = int(raw_length)
         if length > self.max_frame_bytes:
             raise ValueError(
                 f"body of {length} bytes exceeds {self.max_frame_bytes}"
@@ -522,16 +543,18 @@ class GatewayServer:
                     request = await self._read_request(reader)
                 except (ValueError, asyncio.IncompleteReadError) as exc:
                     self.http_requests += 1
+                    code = getattr(exc, "code", protocol.ERR_BAD_REQUEST)
+                    status = HTTP_STATUS[code]
                     self._respond(
                         writer,
-                        400,
-                        protocol.error(protocol.ERR_BAD_REQUEST, str(exc)),
+                        status,
+                        protocol.error(code, str(exc)),
                         keep_alive=False,
                         request_id=request_id,
                     )
                     await writer.drain()
                     self._log(
-                        None, peer, 400, time.perf_counter() - started,
+                        None, peer, status, time.perf_counter() - started,
                         request_id=request_id,
                     )
                     break

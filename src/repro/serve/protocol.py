@@ -14,7 +14,7 @@ Every request carries ``op`` plus op-specific fields:
     :mod:`repro.parallel`), with optional ``shard_tie_break``
     (``"arrival"``/``"canonical"``), ``shard_strategy``
     (``"range"``/``"hash"``), and ``shard_parallel`` (``"auto"``/
-    ``"fused"``/``"thread"``/``"process"``) refinements; the
+    ``"fused"``/``"thread"``) refinements; the
     per-session ``stats`` entries then report the cursor's shard
     configuration.
 
@@ -72,6 +72,9 @@ ERR_OVERLOADED = "overloaded"
 #: Partial pages are *not* errors — they return ``ok`` terminators with
 #: ``"deadline_exceeded": true``.  HTTP: 504.
 ERR_DEADLINE = "deadline_exceeded"
+#: A transport feature the gateway does not implement (e.g. a
+#: ``Transfer-Encoding`` request body).  HTTP: 501, connection closed.
+ERR_UNSUPPORTED = "not_implemented"
 
 #: Ops a server must implement.
 OPS = ("prepare", "fetch", "explain", "close", "stats", "ping")

@@ -145,8 +145,14 @@ class OpDispatcher:
         except (ValueError, KeyError, TypeError) as exc:
             # Planner/parser rejections (bad query text, unknown
             # relation, unsupported algorithm) — the client's fault.
+            # str(KeyError) is the repr of its message; send the text.
+            message = (
+                exc.args[0]
+                if isinstance(exc, KeyError) and len(exc.args) == 1
+                else str(exc)
+            )
             writer.write(
-                protocol.encode(protocol.error(protocol.ERR_QUERY, str(exc)))
+                protocol.encode(protocol.error(protocol.ERR_QUERY, str(message)))
             )
         except Exception as exc:  # noqa: BLE001 - keep the server alive
             # Server-side failure: this is what the circuit breaker
@@ -209,7 +215,7 @@ class OpDispatcher:
             deadline_ms=deadline_ms,
         )
         cursor = session.cursor(cursor_id)
-        shard = cursor.prepared.logical.shard
+        shard = cursor.prepared.logical.bound_shard
         writer.write(
             protocol.encode(
                 protocol.ok(

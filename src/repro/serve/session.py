@@ -647,7 +647,7 @@ class SessionManager:
                     "position": cursor.position,
                     "exhausted": cursor.exhausted,
                 }
-                shard = cursor.prepared.logical.shard
+                shard = cursor.prepared.logical.bound_shard
                 if shard is not None:
                     entry["shards"] = shard.shards
                     entry["shard_tie_break"] = shard.tie_break

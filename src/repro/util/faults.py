@@ -18,8 +18,6 @@ Instrumented sites in the tree:
 =======================  ====================================================
 ``sqlite.execute``       every retried statement in ``SQLiteBackend``
 ``sqlite.executemany``   the unretried batch-insert path (callers roll back)
-``pool.submit``          process-pool build submission (``parallel/build.py``)
-``worker.scan``          inside a pool worker's fragment scan (fork-inherited)
 ``core.read``            ``CoreFile`` TOC read (mmap warm starts)
 ``core.write``           mid-rewrite of the ``.core`` container
 ``fetch.slice``          every cooperative-scheduler slice
@@ -37,7 +35,7 @@ comma-separated list of ``site=action[:after[:count[:param]]]``:
   ``reset``, ``broken``, or the default ``fault``); for ``delay``,
   seconds; for ``corrupt``, ``flip`` or ``truncate``; for ``exit``, an
   optional one-shot token-file path (the rule fires only while the file
-  exists and consumes it — lets a forked pool worker die exactly once).
+  exists and consumes it — lets a forked child process die exactly once).
 
 Example: ``REPRO_FAULTS="sqlite.execute=raise:1:2:busy"`` makes the
 first two statements fail with ``database is locked`` — which the
@@ -59,8 +57,7 @@ class FaultInjected(RuntimeError):
     """The default exception raised by a ``raise`` rule.
 
     A ``RuntimeError`` subclass on purpose: injected failures travel the
-    same degradation paths real infrastructure failures do (e.g. the
-    process-pool fallback catches ``RuntimeError``).
+    same degradation paths real infrastructure failures do.
     """
 
 

@@ -1,4 +1,4 @@
-"""Zero-copy compiled cores: persistence, shared memory, vector kernels.
+"""Zero-copy compiled cores: persistence and vector kernels.
 
 Covers the ``repro.dp.corebuf`` subsystem end to end:
 
@@ -8,12 +8,7 @@ Covers the ``repro.dp.corebuf`` subsystem end to end:
   persistable dioids x {unsharded, 1 shard, 4 shards};
 * staleness — mutating a relation invalidates the entry, the rebuild
   rewrites it, and the rewritten entry hits again;
-* zero-copy process builds — pool workers observe the parent's phase-A
-  arrays through one shared-memory segment (same bytes, same segment
-  name) and task payloads carry no arrays;
-* resource hygiene — a process-mode build leaves no
-  ``resource_tracker`` warnings on stderr, and ``Engine.close()``
-  releases the core file's mmap;
+* resource hygiene — ``Engine.close()`` releases the core file's mmap;
 * numpy independence — the vectorized kernels are gated behind
   ``repro.util.vec`` and the pure-``array`` fallback produces identical
   output (also for mmap-loaded cores);
@@ -23,17 +18,14 @@ Covers the ``repro.dp.corebuf`` subsystem end to end:
 
 import itertools
 import os
-import pickle
 import random
-import subprocess
-import sys
 
 import pytest
 
 from repro.data.backend import SQLiteBackend
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.dp.corebuf import CoreCache, ShmPool, core_key, dioid_core_name
+from repro.dp.corebuf import CoreCache, core_key, dioid_core_name
 from repro.engine import Engine
 from repro.query.builders import path_query
 from repro.ranking.dioid import (
@@ -201,120 +193,6 @@ class TestStaleness:
             assert not os.path.exists(path + ".core")
 
 
-class TestZeroCopyProcessBuild:
-    def _shared_setup(self, tmp_path):
-        from repro.engine.plan import plan as make_plan
-        from repro.parallel import build as pbuild
-        from repro.parallel.sharder import Sharder, ShardSpec
-
-        path = sqlite_database(tmp_path, "shm")
-        database = SQLiteBackend(path).database()
-        query = path_query(4)
-        logical = make_plan(
-            query, shards=ShardSpec(2, parallel="process", workers=2)
-        )
-        shard_plan = Sharder(database, None).plan(logical, logical.shard, True)
-        shared = pbuild.build_shared_lower(
-            database, query, shard_plan.join_tree,
-            logical.dioid, shard_plan.anchor_stage,
-        )
-        return pbuild, database, query, logical, shard_plan, shared
-
-    def test_workers_alias_one_segment(self, tmp_path):
-        from concurrent.futures import ProcessPoolExecutor
-        import multiprocessing
-
-        pbuild, database, query, logical, shard_plan, shared = (
-            self._shared_setup(tmp_path)
-        )
-        payload = pbuild.pack_worker_lower(shared)
-        anchor_atom_index = shared.order[shard_plan.anchor_stage]
-        anchor_name = query.atoms[anchor_atom_index].relation_name
-        tasks = [(f, logical.shard.shards) for f in shard_plan.fragments]
-        # Satellite: per-fragment task payloads ship fragment metadata
-        # only — no arrays, no database recipe, no entry pools.
-        assert all(len(pickle.dumps(task)) < 512 for task in tasks)
-        shm_pool = ShmPool.create(payload)
-        try:
-            try:
-                context = multiprocessing.get_context("fork")
-                pool = ProcessPoolExecutor(
-                    max_workers=2,
-                    mp_context=context,
-                    initializer=pbuild._init_scan_worker,
-                    initargs=(
-                        shm_pool.name, pbuild._database_recipe(database),
-                        query, anchor_atom_index, anchor_name, logical.dioid,
-                    ),
-                )
-            except (OSError, PermissionError, ValueError) as exc:
-                pytest.skip(f"process pool unavailable: {exc!r}")
-            with pool:
-                try:
-                    probes = [
-                        pool.submit(pbuild._probe_worker_pool, 0).result(
-                            timeout=60
-                        )
-                        for _ in range(2)
-                    ]
-                except (OSError, RuntimeError) as exc:
-                    pytest.skip(f"process pool unavailable: {exc!r}")
-        finally:
-            shm_pool.destroy()
-            database.close()
-        for name, length, sample in probes:
-            assert name == shm_pool.name, "worker must attach by name"
-            assert length == len(shared.conn_min)
-            assert sample == shared.conn_min[0], (
-                "worker must read the parent's pool bytes in place"
-            )
-
-    def test_process_mode_build_matches_serial(self, tmp_path):
-        path = sqlite_database(tmp_path, "proc")
-        query = path_query(4)
-        with Engine.from_backend(SQLiteBackend(path), core_cache="off") as engine:
-            reference = run(engine, query, "take2", shards=2)
-        with Engine.from_backend(SQLiteBackend(path), core_cache="off") as engine:
-            prepared = engine.prepare(
-                query, algorithm="take2", shards=2, shard_parallel="process"
-            )
-            physical = prepared.bind()
-            if physical.mode != "process":
-                pytest.skip(f"process pool unavailable: {physical.notes}")
-            assert signature(
-                itertools.islice(prepared.iter(), 200)
-            ) == reference
-
-    def test_no_resource_tracker_warnings(self, tmp_path):
-        path = sqlite_database(tmp_path, "rt")
-        code = (
-            "import sys\n"
-            "from repro.data.backend import SQLiteBackend\n"
-            "from repro.engine import Engine\n"
-            "from repro.query.builders import path_query\n"
-            f"engine = Engine.from_backend(SQLiteBackend({path!r}))\n"
-            "prepared = engine.prepare(path_query(4), shards=2,\n"
-            "                          shard_parallel='process')\n"
-            "physical = prepared.bind()\n"
-            "print('MODE=' + physical.mode)\n"
-            "engine.close()\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (env.get("PYTHONPATH"), os.path.join(os.getcwd(), "src"))
-            if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, timeout=180, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        if "MODE=process" not in proc.stdout:
-            pytest.skip(f"process pool unavailable: {proc.stdout!r}")
-        assert "resource_tracker" not in proc.stderr, proc.stderr
-        assert "KeyError" not in proc.stderr, proc.stderr
-
-
 class TestNoNumpy:
     """Pure-``array`` fallback conformance (also exercised by CI no-numpy)."""
 
@@ -333,6 +211,26 @@ class TestNoNumpy:
             assert core_stats(engine)["core_hits"] == 1, (
                 "mapped cores must load without numpy"
             )
+
+    def test_unsharded_batch_takes_vector_expansion(self, monkeypatch):
+        """A directly lowered core packs its CSR pool for batch on demand."""
+        if vec.np is None:
+            pytest.skip("numpy unavailable")
+        from repro.anyk.flat import FlatBatch
+
+        calls = []
+        original = FlatBatch._solutions_vec
+
+        def counted(self, np):
+            calls.append(self.compiled)
+            return original(self, np)
+
+        monkeypatch.setattr(FlatBatch, "_solutions_vec", counted)
+        engine = Engine(decoding_database(3, 30, domain=6, seed=9))
+        prepared = engine.prepare(path_query(3), algorithm="batch")
+        results = run(engine, path_query(3), "batch")
+        assert results
+        assert calls and calls[0] is prepared.bind().compiled
 
     def test_sharded_build_without_numpy(self, monkeypatch):
         monkeypatch.setattr(vec, "np", None)

@@ -129,6 +129,104 @@ class TestHttpPlumbing:
             client.fetch("boolh", cursor, n=True)
 
 
+def post_json(address, path: str, payload: dict) -> tuple[int, dict]:
+    conn = http.client.HTTPConnection(*address)
+    try:
+        conn.request("POST", path, body=json.dumps(payload).encode())
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+def raw_exchange(address, payload: bytes) -> bytes:
+    """Send raw bytes, read until the server closes the connection."""
+    with socketlib.create_connection(address, timeout=30) as sock:
+        sock.sendall(payload)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestPrepareReporting:
+    def test_unsharded_cycle_reports_null_shards(self, gateway):
+        cycle = "Q(a, b, c) :- R1(a, b), R2(b, c), R3(c, a)"
+        status, body = post_json(
+            gateway, "/v1/prepare",
+            {"session": "cyc", "query": cycle, "shards": 2},
+        )
+        assert status == 200
+        assert body["strategy"] == "simple-cycle-union"
+        assert body["shards"] is None
+        with HttpServeClient(*gateway) as client:
+            stats = client.stats()
+        entry = stats["sessions"]["cyc"]["cursors"][body["cursor"]]
+        assert entry.get("shards") is None
+        status, sharded = post_json(
+            gateway, "/v1/prepare",
+            {"session": "cyc", "query": QUERY, "shards": 2},
+        )
+        assert status == 200 and sharded["shards"] == 2
+
+    def test_unknown_relation_message_is_plain_text(self, gateway):
+        status, body = post_json(
+            gateway, "/v1/prepare",
+            {"session": "norel", "query": "Q(x, y) :- F(x, y)"},
+        )
+        assert status == 400
+        assert body["error"] == "bad_query"
+        assert body["message"] == "no relation named 'F' in database"
+
+    def test_process_shard_mode_is_a_typed_error(self, gateway):
+        status, body = post_json(
+            gateway, "/v1/prepare",
+            {"session": "proc", "query": QUERY, "shards": 2,
+             "shard_parallel": "process"},
+        )
+        assert status == 400
+        assert body["error"] == "bad_query"
+        assert "unknown parallel mode 'process'" in body["message"]
+
+
+class TestRequestFraming:
+    PREPARE = json.dumps({"session": "frame", "query": QUERY}).encode()
+
+    def test_chunked_body_is_rejected_not_desynced(self, gateway):
+        chunked = (
+            b"POST /v1/prepare HTTP/1.1\r\nHost: x\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + f"{len(self.PREPARE):x}".encode() + b"\r\n"
+            + self.PREPARE + b"\r\n0\r\n\r\n"
+            # A pipelined request the server must never get to parse.
+            + b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        )
+        reply = raw_exchange(gateway, chunked)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 501 Not Implemented")
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"] == "not_implemented"
+        assert reply.count(b"HTTP/1.1") == 1, "connection must close"
+
+    @pytest.mark.parametrize("length", [b"-5", b"abc", b"+7", b"1_0"])
+    def test_bad_content_length_is_400(self, gateway, length):
+        request = (
+            b"POST /v1/prepare HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: " + length + b"\r\n\r\n" + self.PREPARE
+        )
+        reply = raw_exchange(gateway, request)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 Bad Request")
+        payload = json.loads(body)
+        assert payload["error"] == "bad_request"
+        assert payload["message"] == (
+            f"invalid Content-Length {length.decode()!r}"
+        )
+        assert reply.count(b"HTTP/1.1") == 1
+
+
 # -- pagination bit-identity ---------------------------------------------------
 
 

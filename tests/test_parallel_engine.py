@@ -246,7 +246,7 @@ class TestPreprocessorModes:
     # *result identity* only, so a second prepare with a different
     # build-mode hint would (deliberately) reuse the first bind.
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("mode", ["thread"])
     def test_worker_modes_match_fused_memory(self, mode):
         database = uniform_database(3, 120, seed=21)
         fused = signature(
@@ -264,7 +264,7 @@ class TestPreprocessorModes:
                        for note in physical.notes)
         assert signature(physical.iter()) == fused
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("mode", ["thread"])
     def test_worker_modes_match_fused_sqlite(self, tmp_path, mode):
         backend = SQLiteBackend(str(tmp_path / "modes.db"))
         for relation in uniform_database(3, 120, seed=21):
@@ -296,17 +296,6 @@ class TestPreprocessorModes:
         assert b.top(5) == first
         assert engine.stats.binds == binds  # no second preprocessing
         assert a.physical_key == b.physical_key
-
-    def test_process_mode_downgrades_for_memory_sqlite(self):
-        backend = SQLiteBackend(":memory:")
-        for relation in uniform_database(2, 30, seed=4):
-            backend.ingest(relation)
-        engine = Engine(backend.database())
-        prepared = engine.prepare(path_query(2), shards=2, shard_parallel="process")
-        physical = prepared.bind()
-        assert physical.mode == "thread"
-        assert any("downgraded" in note for note in physical.notes)
-        engine.close()
 
 
 class TestPicklability:
