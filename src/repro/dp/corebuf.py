@@ -544,8 +544,11 @@ class CoreCache:
     ``Database.version`` mismatch counts as *stale* (the caller rebuilds
     and :meth:`store` rewrites the entry).  Counters feed the engine's
     ``EngineStats``.  The mmap behind a hit stays open as long as loaded
-    cores reference its views; :meth:`close` releases mappings that are
-    no longer referenced and leaves the rest to garbage collection.
+    cores reference its views.  Every remap of a rewritten file closes
+    the superseded mappings no view uses any more, so a process that
+    keeps appending holds one mapping plus those still backing live
+    plans; :meth:`close` releases the rest and leaves any still in use
+    to garbage collection.
     """
 
     def __init__(self, path: str):
@@ -588,8 +591,26 @@ class CoreCache:
             return None
         self._toc, self._map = loaded
         self._stamp = stamp
+        self._maps = self._release(self._maps)
         self._maps.append(self._map)
         return loaded
+
+    @staticmethod
+    def _release(maps: list) -> list:
+        """Close every mapping no view still uses; return the rest.
+
+        ``mmap.close`` refuses (``BufferError``) while a memoryview of
+        the mapping is alive, so a mapping that backs a live warm plan
+        is never closed under it: it stays listed and is retried on the
+        next remap or :meth:`close`.
+        """
+        remaining = []
+        for mapped in maps:
+            try:
+                mapped.close()
+            except BufferError:
+                remaining.append(mapped)
+        return remaining
 
     def _entry(self, key: str | None, db_version: int):
         if key is None:
@@ -709,21 +730,10 @@ class CoreCache:
         uses) survives untouched and is retried on the next close.
         """
         with self._lock:
-            cycles_collected = False
-            remaining = []
-            for mapped in self._maps:
-                try:
-                    mapped.close()
-                    continue
-                except BufferError:
-                    pass
-                if not cycles_collected:
-                    cycles_collected = True
-                    gc.collect()
-                try:
-                    mapped.close()
-                except BufferError:
-                    remaining.append(mapped)
+            remaining = self._release(self._maps)
+            if remaining:
+                gc.collect()
+                remaining = self._release(remaining)
             self._maps = remaining
             self._stamp = None
             self._toc = None

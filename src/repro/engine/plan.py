@@ -325,7 +325,7 @@ class AcyclicPhysical(PhysicalPlan):
                     result.assignment,
                     head,
                     witness_ids=result.witness_ids,
-                    witness=result.witness,
+                    source=result,
                 )
 
         return generate()
@@ -501,17 +501,13 @@ class ProjectionPhysical(PhysicalPlan):
 
         def generate() -> Iterator[QueryResult]:
             for result in inner_iter:
-                projected = {
-                    var: value
-                    for var, value in result.assignment.items()
-                    if var in head_set
-                }
-                yield QueryResult(
-                    result.weight,
-                    projected,
+                yield result.with_assignment(
+                    {
+                        var: value
+                        for var, value in result.assignment.items()
+                        if var in head_set
+                    },
                     head,
-                    witness_ids=result.witness_ids,
-                    witness=result.witness,
                 )
 
         return generate()

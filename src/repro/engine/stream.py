@@ -30,6 +30,7 @@ append-only, so replays need no locking at all.
 
 from __future__ import annotations
 
+from itertools import islice
 from threading import RLock
 from typing import Any, Callable, Iterator
 
@@ -125,13 +126,17 @@ class PrefixStream:
             # memoized requests take the lock-free replay path above
             # and never reach the tracer.
             with self._tracer.span("stream.extend", target=n) as span:
-                while len(results) < n:
-                    nxt = next(iterator, None)
-                    if nxt is None:
-                        self._exhausted = True
-                        break
-                    results.append(nxt)
-                    self.extensions += 1
+                # islice resumes the generator from C, not one next()
+                # call per answer; a short batch means the run is over.
+                # An enumerator that raises keeps what it produced so
+                # far memoized and counted, as a per-answer loop would.
+                start = len(results)
+                try:
+                    results.extend(islice(iterator, n - start))
+                finally:
+                    self.extensions += len(results) - start
+                if len(results) < n:
+                    self._exhausted = True
                 span.set(
                     produced=len(results), exhausted=self._exhausted
                 )

@@ -93,7 +93,7 @@ class ShardedPhysical(PhysicalPlan):
                     result.assignment,
                     head,
                     witness_ids=result.witness_ids,
-                    witness=result.witness,
+                    source=result,
                 )
 
         return generate()

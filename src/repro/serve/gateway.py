@@ -111,6 +111,10 @@ _REASONS = {
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 _WS_TEXT, _WS_CLOSE, _WS_PING, _WS_PONG = 0x1, 0x8, 0x9, 0xA
 
+#: Compact JSON for response bodies (the separators of protocol lines).
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+
+
 class _RequestError(ValueError):
     """A request refused while parsing: answered with ``code``, then closed."""
 
@@ -172,21 +176,33 @@ async def ws_read_frame(
 
 
 class _CollectWriter:
-    """Writer shim that collects protocol lines for a buffered response.
+    """Writer shim that collects one op's output for a buffered response.
 
-    The op dispatcher writes complete ``protocol.encode`` lines; HTTP
-    request/response endpoints collect them and fold the stream into a
-    single JSON body.  ``is_closing`` proxies the real transport so a
-    client that disconnects mid-fetch still aborts the enumeration
-    (the scheduler rewinds the undelivered slice).
+    Fetch results arrive per scheduler slice through
+    :meth:`write_results` and are encoded right there, inside the
+    dispatch, into one JSON array fragment per slice: an answer JSON
+    cannot encode then fails its slice exactly as on the line
+    transports (typed error, slice rewound).  The only protocol line an
+    HTTP op writes — its terminator or error — goes through
+    :meth:`write` and is the only thing decoded.  ``is_closing`` proxies
+    the real transport so a client that disconnects mid-fetch still
+    aborts the enumeration (the scheduler rewinds the undelivered
+    slice).
     """
 
     def __init__(self, transport_writer: asyncio.StreamWriter):
         self._writer = transport_writer
-        self.lines: list[dict] = []
+        #: Encoded result fragments, one per slice, in rank order.
+        self.fragments: list[str] = []
+        #: The op's last protocol line (terminator or error), decoded.
+        self.last: dict | None = None
+
+    def write_results(self, payloads: list[dict]) -> None:
+        if payloads:
+            self.fragments.append(_dumps(payloads)[1:-1])
 
     def write(self, data: bytes) -> None:
-        self.lines.append(protocol.decode(data))
+        self.last = protocol.decode(data)
 
     async def drain(self) -> None:
         return None
@@ -413,6 +429,7 @@ class GatewayServer:
         }
         headers: dict[str, str] = {}
         header_bytes = 0
+        lengths = 0
         while True:
             line = await reader.readline()
             header_bytes += len(line)
@@ -421,7 +438,15 @@ class GatewayServer:
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+            name = name.strip().lower()
+            lengths += name == "content-length"
+            headers[name] = value.strip()
+        if lengths > 1:
+            # Which one frames the body is ambiguous (the classic
+            # request-smuggling setup): refuse instead of guessing.
+            raise _RequestError(
+                f"{lengths} Content-Length headers; send exactly one"
+            )
         if "transfer-encoding" in headers:
             # Without this the chunk bytes would parse as a second
             # pipelined request and desync the connection.
@@ -453,7 +478,7 @@ class GatewayServer:
         extra_headers: dict[str, str] | None = None,
         request_id: str | None = None,
     ) -> int:
-        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        body = _dumps(payload).encode("utf-8")
         return self._respond_raw(
             writer, status, body, "application/json", keep_alive,
             extra_headers, request_id,
@@ -727,11 +752,14 @@ class GatewayServer:
         writer: asyncio.StreamWriter,
         wire_request: dict,
     ) -> int:
-        """Run one protocol op, folding its line stream into one body.
+        """Run one protocol op and send its output as one JSON body.
 
         Results stream through the same scheduler slices (and abort on
-        client disconnect) as on the TCP path; they are simply buffered
-        into a single JSON response at the end, because an HTTP
+        client disconnect) as on the TCP path; each slice's payloads are
+        encoded once, inside the dispatch (:class:`_CollectWriter`), and
+        the body is the terminator's fields followed by ``"results"``
+        joined from those fragments — no answer is encoded twice or
+        decoded on the server.  The page is buffered because an HTTP
         response needs its status line first.
         """
         collector = _CollectWriter(writer)
@@ -752,43 +780,41 @@ class GatewayServer:
         finally:
             self.active_requests -= 1
         elapsed = time.perf_counter() - started
-        if wire_request["op"] == "fetch":
+        is_fetch = wire_request["op"] == "fetch"
+        if is_fetch:
             self.fetch_latency.record(elapsed)
             self.fetch_latency_histogram.observe(elapsed)
-        results = [
-            line["result"] for line in collector.lines if "result" in line
-        ]
-        terminator = collector.lines[-1] if collector.lines else protocol.error(
+        terminator = collector.last or protocol.error(
             protocol.ERR_INTERNAL, "op produced no response"
         )
         extra_headers: dict[str, str] = {}
-        if terminator.get("ok"):
-            status = 200
-            payload = dict(terminator)
-            if results or wire_request["op"] == "fetch":
-                payload["results"] = results
-            if payload.get("deadline_exceeded") and not results:
-                # Zero progress before the deadline: that is a timeout,
-                # not a page.  (With any results at all the partial page
-                # goes out as 200 + deadline_exceeded — any-k's
-                # bounded time-to-first-answer means losing a computed
-                # ranked prefix to a timeout would be strictly worse.)
-                status = 504
-                payload = protocol.error(
-                    protocol.ERR_DEADLINE,
-                    "deadline expired before any result was enumerated",
-                )
-        else:
+        status = 200
+        if not terminator.get("ok"):
             status = HTTP_STATUS.get(terminator.get("error"), 400)
-            payload = terminator
             if status in (429, 503):
                 retry = terminator.get("retry_after")
                 extra_headers["Retry-After"] = str(
                     max(1, round(retry)) if retry else 1
                 )
-        self._respond(
-            writer, status, payload, keep_alive=request.keep_alive,
-            extra_headers=extra_headers, request_id=request.request_id,
+        elif terminator.get("deadline_exceeded") and not collector.fragments:
+            # Zero progress before the deadline: that is a timeout, not
+            # a page.  (With any results at all the partial page goes
+            # out as 200 + deadline_exceeded — any-k's bounded
+            # time-to-first-answer means losing a computed ranked prefix
+            # to a timeout would be strictly worse.)
+            status = 504
+            terminator = protocol.error(
+                protocol.ERR_DEADLINE,
+                "deadline expired before any result was enumerated",
+            )
+        body = _dumps(terminator)
+        if is_fetch and status == 200:
+            results = ",".join(collector.fragments)
+            body = f'{body[:-1]},"results":[{results}]}}'
+        self._respond_raw(
+            writer, status, body.encode("utf-8"), "application/json",
+            keep_alive=request.keep_alive, extra_headers=extra_headers,
+            request_id=request.request_id,
         )
         return status
 

@@ -25,7 +25,9 @@ Every request carries ``op`` plus op-specific fields:
     backpressure) followed by the terminator ``{"ok": true, "op":
     "fetch", "served": 10, "position": 10, "exhausted": false}``.
     Repeating the request returns the *next* page — pagination is the
-    default, no offset bookkeeping client-side.
+    default, no offset bookkeeping client-side.  Over HTTP the page is
+    one JSON body instead: the terminator's fields plus ``"results":
+    [...]``, the same payloads in rank order.
 
 ``explain``
     → ``{"ok": true, "op": "explain", "plan": "..."}`` (the bound
@@ -43,7 +45,16 @@ Errors are single lines ``{"ok": false, "error": "<code>", "message":
 down the session).
 
 Weights may be floats, ints, bools, or tuples (lexicographic dioids);
-tuples are transported as JSON arrays.
+tuples are transported as JSON arrays (``json`` writes them as arrays
+natively, so nothing is converted before encoding).
+
+Every transport builds an answer's wire form with one function,
+:func:`result_payload`, which hands the answer's own ``assignment``
+dict to the encoder without copying it.  TCP and WebSocket encode one
+line per answer (:func:`result_message` + :func:`encode`); the HTTP
+gateway encodes each scheduler slice's payloads as one JSON array
+fragment while the fetch runs, so a page is encoded once and never
+decoded back on the server (see :mod:`repro.serve.gateway`).
 """
 
 from __future__ import annotations
@@ -100,13 +111,6 @@ def valid_ms(value: Any) -> bool:
     )
 
 
-def _jsonable(value: Any) -> Any:
-    """Map result values onto the JSON data model (tuples → arrays)."""
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def encode(message: dict) -> bytes:
     """One protocol line: compact JSON plus the newline terminator.
 
@@ -130,19 +134,26 @@ def decode(line: bytes | str) -> dict:
     return message
 
 
-def result_message(index: int, result: QueryResult) -> dict:
-    """The wire form of one ranked answer."""
+def result_payload(index: int, result: QueryResult) -> dict:
+    """The wire form of one ranked answer, shared by every transport.
+
+    The answer's ``assignment`` dict goes to the encoder as is (no
+    copy); tuple values and weights encode as JSON arrays.
+    """
     payload: dict[str, Any] = {
         "index": index,
-        "weight": _jsonable(result.weight),
-        "assignment": {
-            var: _jsonable(value)
-            for var, value in result.assignment.items()
-        },
+        "weight": result.weight,
+        "assignment": result.assignment,
     }
-    if result.witness_ids is not None:
-        payload["witness_ids"] = _jsonable(result.witness_ids)
-    return {"result": payload}
+    witness_ids = result.witness_ids
+    if witness_ids is not None:
+        payload["witness_ids"] = witness_ids
+    return payload
+
+
+def result_message(index: int, result: QueryResult) -> dict:
+    """One answer as a protocol line's message (TCP and WebSocket)."""
+    return {"result": result_payload(index, result)}
 
 
 def ok(op: str, **fields: Any) -> dict:

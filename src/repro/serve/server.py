@@ -72,7 +72,10 @@ class OpDispatcher:
     (``write(bytes)``, ``async drain()``, ``is_closing()``); every
     transport — the TCP server, the gateway's WebSocket endpoint, and
     the gateway's buffered HTTP endpoints — routes through one instance,
-    so a validation rule fixed here is fixed everywhere at once.
+    so a validation rule fixed here is fixed everywhere at once.  A
+    writer may also offer ``write_results(payloads)``: fetch then hands
+    it each scheduler slice's :func:`~repro.serve.protocol.result_payload`
+    dicts instead of one encoded line per answer.
     """
 
     def __init__(self, manager: SessionManager, policy: AccessPolicy | None = None):
@@ -244,19 +247,29 @@ class OpDispatcher:
         # slice, so results go out (and drain() applies transport
         # backpressure) while the enumeration is still advancing.
         # Budget clamping/reservation all happens inside fetch_async —
-        # one slice loop for the sync, async, and wire paths.
+        # one slice loop for the sync, async, and wire paths.  A writer
+        # with ``write_results`` (the HTTP page collector) takes each
+        # slice's payloads at once; line transports get one line each.
+        write_results = getattr(writer, "write_results", None)
+
         async def sink(start_rank: int, page) -> None:
             if writer.is_closing():
                 # Client went away mid-stream: abort the fetch now (the
                 # scheduler rewinds the undelivered slice) instead of
                 # enumerating and writing the rest into a dead socket.
                 raise ConnectionResetError("client disconnected mid-fetch")
-            for offset, result in enumerate(page):
-                writer.write(
-                    protocol.encode(
-                        protocol.result_message(start_rank + offset, result)
+            if write_results is not None:
+                write_results([
+                    protocol.result_payload(start_rank + offset, result)
+                    for offset, result in enumerate(page)
+                ])
+            else:
+                for offset, result in enumerate(page):
+                    writer.write(
+                        protocol.encode(
+                            protocol.result_message(start_rank + offset, result)
+                        )
                     )
-                )
             await writer.drain()
 
         outcome = await self.manager.fetch_async(

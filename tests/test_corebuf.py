@@ -8,7 +8,9 @@ Covers the ``repro.dp.corebuf`` subsystem end to end:
   persistable dioids x {unsharded, 1 shard, 4 shards};
 * staleness — mutating a relation invalidates the entry, the rebuild
   rewrites it, and the rewritten entry hits again;
-* resource hygiene — ``Engine.close()`` releases the core file's mmap;
+* resource hygiene — ``Engine.close()`` releases the core file's mmap,
+  and rewrites of the file close superseded mappings as they remap
+  (a mapping that backs a live warm plan stays open);
 * numpy independence — the vectorized kernels are gated behind
   ``repro.util.vec`` and the pure-``array`` fallback produces identical
   output (also for mmap-loaded cores);
@@ -274,6 +276,36 @@ class TestRobustness:
         engine.close()
         assert not engine.core_cache._maps, "close() must unmap the core file"
         os.remove(path + ".core")
+
+    def test_rewrites_keep_mappings_bounded(self, tmp_path):
+        """Each append rewrites the file and remaps it; superseded
+        mappings are closed, except one still backing a live plan."""
+        path = sqlite_database(tmp_path, "remap")
+        query = path_query(4)
+        with Engine.from_backend(SQLiteBackend(path)) as engine:
+            engine.prepare(query).bind()
+        engine = Engine.from_backend(SQLiteBackend(path))
+        prepared = engine.prepare(query)
+        live = prepared.bind()
+        assert live.warm
+        reference = signature(live.iter())
+        cache = engine.core_cache
+        (live_map,) = cache._maps
+        for step in range(12):
+            engine.database["R1"].add((1, 2), float(BASE**4 + step))
+            prepared.bind()
+            assert len(cache._maps) <= 2, "superseded mappings must close"
+            assert live_map in cache._maps and not live_map.closed
+        assert cache.stats()["writes"] == 12
+        current = os.path.getsize(path + ".core")
+        assert engine.memory_stats()["core_mmap_bytes"] <= (
+            len(live_map) + current
+        )
+        assert signature(live.iter()) == reference, "live warm plan intact"
+        del live
+        live_map = None
+        engine.close()
+        assert not cache._maps
 
     def test_explicit_core_cache_path(self, tmp_path):
         database = decoding_database(3, 20, domain=5, seed=2)

@@ -226,6 +226,26 @@ class TestRequestFraming:
         )
         assert reply.count(b"HTTP/1.1") == 1
 
+    @pytest.mark.parametrize(
+        "lengths", [(b"7", b"7"), (b"7", b"0"), (b"3", b"3", b"3")]
+    )
+    def test_duplicate_content_length_is_400(self, gateway, lengths):
+        request = (
+            b"POST /v1/prepare HTTP/1.1\r\nHost: x\r\n"
+            + b"".join(b"Content-Length: " + n + b"\r\n" for n in lengths)
+            + b"\r\n" + self.PREPARE
+        )
+        reply = raw_exchange(gateway, request)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 Bad Request")
+        assert b"Connection: close" in head
+        payload = json.loads(body)
+        assert payload["error"] == "bad_request"
+        assert payload["message"] == (
+            f"{len(lengths)} Content-Length headers; send exactly one"
+        )
+        assert reply.count(b"HTTP/1.1") == 1
+
 
 # -- pagination bit-identity ---------------------------------------------------
 
