@@ -7,12 +7,9 @@ Measures, per storage backend, on the 4-path workload:
   (``compile_tdp(build_tdp(...))``: what user-built T-DPs and the tests'
   ``flat=False`` reference still run) vs the production unsharded bind
   (the direct key-space lowering, one fragment), timed in the same run;
-* **sharded binds** at 1/2/4/8 fragments (mode resolved by the
-  sharder's ``auto`` policy), with TTF and answers/sec for a top-k run
-  through the ranked k-way shard merge;
-* **pool scaling** — the fused 4-shard bind over the thread-pool one,
-  or ``"not measured"`` on a single-CPU host (a pool cannot overlap
-  anything there).
+* **sharded binds** at 1/2/4/8 fragments (always the fused
+  in-process build), with TTF and answers/sec for a top-k run through
+  the ranked k-way shard merge.
 
 Every timed cell is gated by a bit-identity assertion first: each
 ranked prefix must equal the object-reference enumerator's exactly.
@@ -20,8 +17,7 @@ ranked prefix must equal the object-reference enumerator's exactly.
 Results merge into ``BENCH_parallel.json`` at the repo root (committed,
 one section per ``full``/``smoke`` mode).  The headline number is
 ``lowering_speedup`` on the SQLite backend — reference lowering time
-over the unsharded bind time; ``cpu_count`` is recorded alongside so
-the pool numbers are interpretable.
+over the unsharded bind time; ``cpu_count`` is recorded alongside.
 
 Usage::
 
@@ -85,7 +81,7 @@ def signature(results, k):
     return out
 
 
-def bind_once(database, shards=None, parallel="auto", core_cache="off"):
+def bind_once(database, shards=None, core_cache="off"):
     """One cold bind on a fresh engine; returns (physical, seconds).
 
     Persistence is off by default: with ``core_cache="auto"`` the first
@@ -97,18 +93,14 @@ def bind_once(database, shards=None, parallel="auto", core_cache="off"):
     gc.collect()
     engine = Engine(database, core_cache=core_cache)
     start = time.perf_counter()
-    if shards is None:
-        prepared = engine.prepare(QUERY)
-    else:
-        prepared = engine.prepare(QUERY, shards=shards, shard_parallel=parallel)
-    physical = prepared.bind()
+    physical = engine.prepare(QUERY, shards=shards).bind()
     return physical, time.perf_counter() - start
 
 
-def best_bind_ms(database, shards=None, parallel="auto", core_cache="off"):
+def best_bind_ms(database, shards=None, core_cache="off"):
     times = []
     for _ in range(REPEATS):
-        _physical, seconds = bind_once(database, shards, parallel, core_cache)
+        _physical, seconds = bind_once(database, shards, core_cache)
         times.append(seconds)
     return round(min(times) * 1e3, 2)
 
@@ -194,20 +186,6 @@ def run_cell(name: str, database) -> dict:
               f"{enum['answers_per_sec']:.0f} answers/s, "
               f"ttf {enum['ttf_ms']} ms")
 
-    # Pool-vs-fused scaling at 4 shards; meaningless on one CPU, where
-    # the pool has nothing to overlap.
-    if (os.cpu_count() or 1) > 1:
-        fused_ms = best_bind_ms(database, 4, "fused")
-        thread_ms = best_bind_ms(database, 4, "thread")
-        pool = {
-            "fused_ms": fused_ms,
-            "thread_ms": thread_ms,
-            "pool_scaling_at_4": round(fused_ms / thread_ms, 2),
-        }
-    else:
-        pool = {"pool_scaling_at_4": "not measured"}
-    print(f"  4-shard pool vs fused: {pool}")
-
     # Informational warm-start row (file-backed cells only): write the
     # compiled core once, then time fresh-engine binds that mmap it.
     # The gated warm-start acceptance lives in bench_hotpath's coldstart
@@ -235,7 +213,6 @@ def run_cell(name: str, database) -> dict:
         "lowering_speedup": lowering_speedup,
         "unsharded": unsharded_enum,
         "shards": shard_cells,
-        "pool_at_4": pool,
         "warm_mmap_bind_ms_at_4": warm_mmap_ms,
     }
 

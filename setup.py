@@ -1,8 +1,9 @@
 """Setuptools shim.
 
-The canonical metadata lives in ``pyproject.toml``; this file exists so
-that editable installs work in offline environments whose setuptools
-lacks PEP 660 support (``pip install -e . --no-use-pep517``).
+The package metadata lives in ``pyproject.toml``.  This file only lets
+``python setup.py develop`` make an editable install where ``pip
+install -e .`` cannot build one (an offline setuptools without the
+``wheel`` package).
 """
 
 from setuptools import setup

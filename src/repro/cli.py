@@ -95,10 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="partition the anchor relation into N "
                                 "fragments and run the parallel execution "
                                 "layer (fragment T-DPs + ranked merge)")
-    query_cmd.add_argument("--shard-parallel", default="auto",
-                           choices=["auto", "fused", "thread"],
-                           help="fragment build mode with --shards "
-                                "(default: auto)")
     query_cmd.add_argument("--algorithm", default="take2",
                            choices=["take2", "lazy", "eager", "all",
                                     "recursive", "batch"])
@@ -316,7 +312,6 @@ def _command_query(args: argparse.Namespace) -> int:
             algorithm=args.algorithm,
             projection=args.projection,
             shards=args.shards,
-            shard_parallel=args.shard_parallel,
         )
         prepared.bind()
         preprocess = time.perf_counter() - start

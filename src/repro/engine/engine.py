@@ -59,11 +59,9 @@ class EngineStats:
     ``stats.binds += 1`` increments, ``before = stats.binds`` snapshots,
     and ``stats.binds == before + 1`` comparisons all keep exact int
     semantics (an aliasing-free snapshot, unlike handing out the
-    mutable instrument itself).  The ``core_*`` and ``retries`` fields are
-    *mirrors* of authoritative counters elsewhere
-    (:class:`~repro.dp.corebuf.CoreCache`,
-    :data:`repro.serve.resilience.COUNTERS`) refreshed after every bind
-    by plain assignment.
+    mutable instrument itself).  The ``core_*`` fields are *mirrors* of
+    the engine's own :class:`~repro.dp.corebuf.CoreCache` counters,
+    refreshed after every bind by plain assignment.
     """
 
     _FIELDS = (
@@ -81,8 +79,6 @@ class EngineStats:
         "core_misses",
         "core_stale",
         "core_writes",
-        #: Recovery mirror — how often transient faults were absorbed.
-        "retries",
     )
 
     def __init__(self):
@@ -391,8 +387,6 @@ class Engine:
         shard_atom: int | None = None,
         shard_strategy: str = "range",
         shard_tie_break: str = "arrival",
-        shard_parallel: str = "auto",
-        shard_workers: int | None = None,
     ) -> PreparedQuery:
         """Plan ``query`` (or fetch the cached plan) for later execution.
 
@@ -407,7 +401,7 @@ class Engine:
         :class:`repro.parallel.sharder.ShardSpec`) routes binding
         through the parallel execution layer: the anchor relation is
         partitioned into that many fragments, fragment T-DPs build
-        concurrently (:class:`~repro.parallel.build.ParallelPreprocessor`),
+        in-process (:class:`~repro.parallel.build.ParallelPreprocessor`),
         and enumeration merges the per-fragment streams.  The shard
         configuration is part of the physical *and* stream cache keys,
         so re-preparing with a different ``shards=`` never reuses a
@@ -424,10 +418,17 @@ class Engine:
                     f"(expected one of {sorted(NAMED_DIOIDS)})"
                 )
             dioid = NAMED_DIOIDS[dioid]
-        spec = self._shard_spec(
-            shards, shard_atom, shard_strategy, shard_tie_break,
-            shard_parallel, shard_workers,
-        )
+        spec = shards
+        if shards is not None:
+            from repro.parallel.sharder import ShardSpec
+
+            if not isinstance(shards, ShardSpec):
+                spec = ShardSpec(
+                    shards,
+                    atom=shard_atom,
+                    strategy=shard_strategy,
+                    tie_break=shard_tie_break,
+                )
         source_query, selections = self._resolve(query)
         planned_query = (
             rewrite_for_selections(source_query, list(selections))
@@ -442,9 +443,6 @@ class Engine:
             id(dioid),
             projection,
             cycle_threshold,
-            # Only the result-affecting shard fields: prepares that
-            # differ merely in build mechanics (parallel mode, worker
-            # count) share one bound plan and one memoized prefix.
             None if spec is None else spec.cache_key(),
         )
         key = physical_key + (algorithm.lower(),)
@@ -556,14 +554,6 @@ class Engine:
                 self.stats.core_misses = stats["misses"]
                 self.stats.core_stale = stats["stale"]
                 self.stats.core_writes = stats["writes"]
-            from repro.serve.resilience import COUNTERS as _recovery_counters
-
-            recovery = _recovery_counters.snapshot()
-            self.stats.retries = sum(
-                count
-                for name, count in recovery.items()
-                if name.startswith("retries_")
-            )
             self._physicals[key] = (version, physical)
             self._physicals.move_to_end(key)
             while len(self._physicals) > self.max_cached_plans:
@@ -572,26 +562,6 @@ class Engine:
             if getattr(physical, "shard_count", 0):
                 self.stats.sharded_binds += 1
             return physical
-
-    @staticmethod
-    def _shard_spec(
-        shards, atom, strategy, tie_break, parallel, workers
-    ):
-        """Normalise the ``prepare`` shard keywords into a ShardSpec."""
-        if shards is None:
-            return None
-        from repro.parallel.sharder import ShardSpec
-
-        if isinstance(shards, ShardSpec):
-            return shards
-        return ShardSpec(
-            shards,
-            atom=atom,
-            strategy=strategy,
-            tie_break=tie_break,
-            parallel=parallel,
-            workers=workers,
-        )
 
     def _stream_for(self, prepared: PreparedQuery) -> PrefixStream:
         """Fetch or create the shared memoized stream for ``prepared``.

@@ -190,18 +190,13 @@ def measure_full_enumeration(
 
 
 # The latency summaries grew up here but now live in repro.obs.latency
-# (one implementation behind the runner, the gateway's /metrics, and
-# EXPLAIN ANALYZE); re-exported so existing imports keep working.
-from repro.obs.latency import (  # noqa: E402
-    LatencyStats,
-    LatencyWindow,
-    percentile,
-)
+# (one implementation behind the runner and EXPLAIN ANALYZE);
+# re-exported so existing imports keep working.
+from repro.obs.latency import LatencyStats, percentile  # noqa: E402
 
 __all__ = [
     "TTKResult",
     "LatencyStats",
-    "LatencyWindow",
     "percentile",
     "measure_ttk",
     "measure_cold_start",

@@ -7,10 +7,9 @@ The running system's view of the paper's cost model:
 * :mod:`repro.obs.analyze` — ``PreparedQuery.analyze(k)``: per-stage
   wall time, OpCounter attribution, per-shard counts, and the
   TTF / TT(k) / per-answer-delay profile;
-* :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto) and
-  Prometheus text exposition for ``GET /metrics``;
-* :mod:`repro.obs.latency` — the shared percentile / latency-window
-  implementation behind the gateway and the experiment runner;
+* :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto);
+* :mod:`repro.obs.latency` — the shared percentile / run-summary
+  implementation behind the experiment runner and EXPLAIN ANALYZE;
 * :mod:`repro.obs.metrics` — the typed metrics registry (counters,
   gauges, histograms, labeled families) every subsystem registers
   into, plus a promtool-style exposition validator;
@@ -24,12 +23,10 @@ from repro.obs.analyze import AnalyzeReport, StageNode, analyze_prepared
 from repro.obs.export import (
     chrome_trace_events,
     chrome_trace_json,
-    prometheus_text,
     write_chrome_trace,
 )
 from repro.obs.latency import (
     LatencyStats,
-    LatencyWindow,
     delay_profile,
     percentile,
 )
@@ -61,10 +58,8 @@ __all__ = [
     "analyze_prepared",
     "chrome_trace_events",
     "chrome_trace_json",
-    "prometheus_text",
     "write_chrome_trace",
     "LatencyStats",
-    "LatencyWindow",
     "delay_profile",
     "percentile",
     "NULL_SPAN",

@@ -132,7 +132,6 @@ class AnalyzeReport:
         if self.shard_stats is not None:
             lines.append(
                 f"  shard build: mode={self.shard_stats['mode']}  "
-                f"workers={self.shard_stats['workers']}  "
                 f"shared lower {self.shard_stats['shared_lower_ms']} ms"
             )
         if self.core is not None:

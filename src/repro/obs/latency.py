@@ -1,17 +1,15 @@
-"""Shared latency summaries: percentiles, run stats, rolling windows.
+"""Shared latency summaries: percentiles and run stats.
 
-One implementation serves three consumers that historically each grew
-their own copy: the offline experiment runner (summarising a finished
-load run), the gateway's live ``/metrics`` endpoint (percentiles over a
-rolling window while requests keep arriving), and EXPLAIN ANALYZE's
-per-answer delay profile (TTF / TT(k) / delay percentiles — the
-paper's own cost model, Section 7).
+One implementation serves the offline experiment runner and benchmarks
+(summarising a finished load run) and EXPLAIN ANALYZE's per-answer
+delay profile (TTF / TT(k) / delay percentiles — the paper's own cost
+model, Section 7).  The gateway's live fetch percentiles come from its
+``repro_fetch_latency_seconds`` histogram instead
+(:meth:`repro.obs.metrics.Histogram.quantiles`).
 """
 
 from __future__ import annotations
 
-import threading
-from collections import deque
 from dataclasses import dataclass
 
 
@@ -89,60 +87,6 @@ class LatencyStats:
             "answers": self.answers,
             "answers_per_second": round(self.answers_per_second, 1),
         }
-
-
-class LatencyWindow:
-    """A rolling window of request latencies for live ``/metrics``.
-
-    The offline path summarises a finished load run with
-    :meth:`LatencyStats.from_samples`; a *serving* process instead needs
-    percentiles over its recent history while requests keep arriving.
-    ``record`` is O(1) (bounded deque), ``snapshot`` sorts the window on
-    demand — cheap at metric-scrape frequency for the default size.
-    Thread-safe: transports on different event loops share one window.
-    """
-
-    def __init__(self, maxlen: int = 2048):
-        if maxlen < 1:
-            raise ValueError(f"window size must be positive, got {maxlen}")
-        self._samples: deque[float] = deque(maxlen=maxlen)
-        self._lock = threading.Lock()
-        #: Lifetime number of recorded requests (window evictions
-        #: included), so rates stay meaningful past one window.
-        self.total = 0
-
-    def record(self, seconds: float) -> None:
-        with self._lock:
-            self._samples.append(seconds)
-            self.total += 1
-
-    def snapshot(self) -> dict:
-        """Percentiles over the current window (zeros when empty)."""
-        with self._lock:
-            samples = list(self._samples)
-            total = self.total
-        if not samples:
-            return {
-                "count": 0,
-                "total": total,
-                "p50_ms": 0.0,
-                "p95_ms": 0.0,
-                "p99_ms": 0.0,
-                "mean_ms": 0.0,
-            }
-        stats = LatencyStats.from_samples(samples)
-        return {
-            "count": stats.count,
-            "total": total,
-            "p50_ms": round(stats.p50 * 1e3, 3),
-            "p95_ms": round(stats.p95 * 1e3, 3),
-            "p99_ms": round(stats.p99 * 1e3, 3),
-            "mean_ms": round(stats.mean * 1e3, 3),
-        }
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._samples)
 
 
 def delay_profile(delays: list[float]) -> dict:

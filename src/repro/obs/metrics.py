@@ -359,6 +359,37 @@ class Histogram:
             "sum": round(sum_, 9),
         }
 
+    def quantiles(self, qs: Iterable[float]) -> list[float]:
+        """Estimated ``q``-quantiles (``0 < q <= 1``) from one snapshot.
+
+        The Prometheus ``histogram_quantile`` convention: linear
+        interpolation inside the bucket that holds the rank, the first
+        bucket starting at 0, and a rank in the ``+Inf`` bucket reading
+        the highest finite bound.  An empty histogram reads 0.0.
+        """
+        with self._lock:
+            counts = list(self._counts)
+            total = self._count
+        out: list[float] = []
+        for q in qs:
+            if not 0 < q <= 1:
+                raise ValueError(f"quantile must be in (0, 1], got {q}")
+            if total == 0:
+                out.append(0.0)
+                continue
+            rank = q * total
+            below = 0
+            lower = min(0.0, self.buckets[0])
+            value = self.buckets[-1]
+            for bound, count in zip(self.buckets, counts):
+                if below + count >= rank:
+                    value = lower + (bound - lower) * (rank - below) / count
+                    break
+                below += count
+                lower = bound
+            out.append(value)
+        return out
+
     def samples(self) -> list[tuple[str, dict | None, float]]:
         with self._lock:
             counts = list(self._counts)

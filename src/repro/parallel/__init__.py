@@ -17,8 +17,8 @@ Layout:
 * :mod:`repro.parallel.build` — the direct-to-compiled key-space
   builder, the engine's one bottom-up pass for ``key_is_value`` dioids
   (an unsharded bind is its one-fragment case), and the fragment
-  preprocessor (:class:`ParallelPreprocessor`) with fused and
-  thread-pool modes;
+  preprocessor (:class:`ParallelPreprocessor`), which builds every
+  fragment in-process;
 * :mod:`repro.parallel.physical` — :class:`ShardedPhysical`, the engine
   integration (``Engine.prepare(..., shards=N)`` binds through it);
 * :class:`repro.parallel.merge.ShardMerge` — the ranked k-way merge over

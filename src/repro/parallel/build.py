@@ -26,11 +26,11 @@ orders, sorted lists, REA heap templates), so ranking structures for
 shared connectors are built once per database version — not once per
 fragment.
 
-Execution modes (resolved by the :class:`~repro.parallel.sharder.Sharder`):
-
-* ``fused``  — both phases in-process; the fastest single-core path.
-* ``thread`` — phase B fragments fan out on a thread pool (the SQLite
-  driver releases the GIL inside its C fetch path).
+Both phases run in-process, fragment after fragment, each fragment
+loading its own anchor rows inline (one rowid-range fetch per range
+fragment, one shared bucketing scan for hash fragments).  No measured
+host built faster with phase B on a thread pool, SQLite (whose fetch
+path releases the GIL) included.
 
 Dioids without the ``key_is_value`` contract — and the ``canonical``
 tie-break, which ranks fragments under the Section 6.3
@@ -550,11 +550,8 @@ def build_fragment(
 
 
 def _uid_lists(shared: SharedLower, num_fragments: int) -> dict:
-    """The cross-fragment aliased uid-indexed structures (pre-sized).
-
-    Fragment slots are assigned by index, so concurrent phase-B builds
-    on a thread pool never resize a shared list.
-    """
+    """The cross-fragment aliased uid-indexed structures (pre-sized;
+    each fragment fills its own root-connector slot by index)."""
     total = shared.num_conns + num_fragments
     tail = [None] * num_fragments
     return {
@@ -709,14 +706,13 @@ class FragmentRuntime:
 class PreprocessResult:
     """What the preprocessor hands the sharded physical plan."""
 
-    __slots__ = (
-        "fragments", "mode", "workers", "shared_seconds", "notes", "tie",
-    )
+    __slots__ = ("fragments", "mode", "shared_seconds", "notes", "tie")
 
-    def __init__(self, fragments, mode, workers, shared_seconds, notes, tie):
+    def __init__(self, fragments, mode, shared_seconds, notes, tie):
         self.fragments: list[FragmentRuntime] = fragments
+        #: ``"fused"`` for an in-process build, ``"mmap"`` for a warm
+        #: start from a ``.core`` file.
         self.mode = mode
-        self.workers = workers
         self.shared_seconds = shared_seconds
         self.notes: list[str] = notes
         #: The TieBreakingDioid fragments rank under (canonical mode).
@@ -724,7 +720,7 @@ class PreprocessResult:
 
 
 class ParallelPreprocessor:
-    """Builds every fragment of a shard plan, per the resolved mode."""
+    """Builds every fragment of a shard plan, in-process and in order."""
 
     def __init__(
         self,
@@ -740,33 +736,6 @@ class ParallelPreprocessor:
 
     # -- flat path -------------------------------------------------------------
 
-    def _flat_fragment_sources(self, shared: SharedLower):
-        """Per fragment: ``(fragment, loader)`` with a *lazy* row loader.
-
-        The loader runs inside the building worker, so in thread mode
-        the per-fragment rowid-range fetches happen on the pool threads
-        — each on its own SQLite connection, overlapping inside the
-        GIL-released C fetch path — instead of serially up front.  Hash
-        fragments share one eager bucketing scan (a single pass assigns
-        every row); only range fragments defer.
-        """
-        plan = self.shard_plan
-        relation = _anchor_relation(
-            self.database, shared.query, shared.order, plan.anchor_stage
-        )
-        if plan.spec.strategy == "hash":
-            buckets = _hash_buckets(relation, plan.spec.shards)
-
-            def hash_loader(fragment: Fragment):
-                return buckets[fragment.index]
-
-            return [(fragment, hash_loader) for fragment in plan.fragments]
-
-        def range_loader(fragment: Fragment):
-            return _trailing_rows(relation, fragment.lo, fragment.hi), None
-
-        return [(fragment, range_loader) for fragment in plan.fragments]
-
     def _build_flat(self) -> PreprocessResult:
         plan = self.shard_plan
         with self.tracer.span("shared.lower") as span:
@@ -779,36 +748,34 @@ class ParallelPreprocessor:
             )
             span.set(connectors=shared.num_conns)
         lists = _uid_lists(shared, len(plan.fragments))
-        sources = self._flat_fragment_sources(shared)
-
-        def one(source) -> FragmentRuntime:
-            fragment, loader = source
-            rows, gids = loader(fragment)
-            compiled, seconds = build_fragment(
-                shared, fragment, rows, gids,
-                shared.num_conns + fragment.index, lists,
-            )
-            return FragmentRuntime(
-                fragment.index, compiled, None, seconds,
-                anchor_stage=plan.anchor_stage,
-            )
-
-        # Spans stay on the coordinating thread: pool workers carry no
-        # trace context, so per-fragment timing is reported through
-        # FragmentRuntime.seconds instead of worker-side spans.
-        with self.tracer.span(
-            "fragments.fanout", fragments=len(sources), mode=plan.mode
-        ):
-            if plan.mode == "thread" and plan.workers > 1:
-                from concurrent.futures import ThreadPoolExecutor
-
-                with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-                    fragments = list(pool.map(one, sources))
-            else:
-                fragments = [one(source) for source in sources]
+        relation = _anchor_relation(
+            self.database, shared.query, shared.order, plan.anchor_stage
+        )
+        buckets = (
+            _hash_buckets(relation, plan.spec.shards)
+            if plan.spec.strategy == "hash"
+            else None
+        )
+        fragments = []
+        with self.tracer.span("fragments.fanout", fragments=len(plan.fragments)):
+            for fragment in plan.fragments:
+                if buckets is None:
+                    rows = _trailing_rows(relation, fragment.lo, fragment.hi)
+                    gids = None
+                else:
+                    rows, gids = buckets[fragment.index]
+                compiled, seconds = build_fragment(
+                    shared, fragment, rows, gids,
+                    shared.num_conns + fragment.index, lists,
+                )
+                fragments.append(
+                    FragmentRuntime(
+                        fragment.index, compiled, None, seconds,
+                        anchor_stage=plan.anchor_stage,
+                    )
+                )
         return PreprocessResult(
-            fragments, plan.mode, plan.workers, shared.seconds,
-            list(plan.notes), None,
+            fragments, "fused", shared.seconds, list(plan.notes), None
         )
 
     # -- object path -----------------------------------------------------------
@@ -864,30 +831,20 @@ class ParallelPreprocessor:
                 for fragment in plan.fragments
             ]
 
-        def one(source) -> FragmentRuntime:
-            fragment, rows, gids = source
-            start = time.perf_counter()
-            tdp = build_object_fragment(
-                self.database, plan, fragment, dioid, lift, rows, gids
-            )
-            return FragmentRuntime(
-                fragment.index, None, tdp, time.perf_counter() - start,
-                anchor_stage=plan.anchor_stage,
-            )
-
-        with self.tracer.span(
-            "fragments.fanout", fragments=len(sources), mode=plan.mode
-        ):
-            if plan.mode == "thread" and plan.workers > 1:
-                from concurrent.futures import ThreadPoolExecutor
-
-                with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-                    fragments = list(pool.map(one, sources))
-            else:
-                fragments = [one(source) for source in sources]
-        return PreprocessResult(
-            fragments, plan.mode, plan.workers, 0.0, notes, tie
-        )
+        fragments = []
+        with self.tracer.span("fragments.fanout", fragments=len(sources)):
+            for fragment, rows, gids in sources:
+                start = time.perf_counter()
+                tdp = build_object_fragment(
+                    self.database, plan, fragment, dioid, lift, rows, gids
+                )
+                fragments.append(
+                    FragmentRuntime(
+                        fragment.index, None, tdp, time.perf_counter() - start,
+                        anchor_stage=plan.anchor_stage,
+                    )
+                )
+        return PreprocessResult(fragments, "fused", 0.0, notes, tie)
 
     # -- entry point -----------------------------------------------------------
 

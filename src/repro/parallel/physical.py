@@ -8,7 +8,9 @@ streams through :class:`~repro.parallel.merge.ShardMerge`.  Like every
 read-only during enumeration and algorithm-independent: the engine
 shares one sharded bind across all any-k variants, cursors, and serving
 sessions of a database version, and the version-stamp scheme invalidates
-it exactly like an unsharded plan.
+it exactly like an unsharded plan.  Fragments build in-process, one
+after another; :attr:`ShardedPhysical.mode` reads ``"fused"`` for such
+a build and ``"mmap"`` when the cores came from a ``.core`` file.
 
 The unsharded bind of a ``key_is_value`` plan runs the same fragment
 builder with one fragment (:func:`repro.parallel.build.lower_unsharded`)
@@ -47,8 +49,8 @@ class ShardedPhysical(PhysicalPlan):
         super().__init__(logical, database)
         self.shard_plan = shard_plan
         self.fragments = result.fragments
+        #: ``"fused"`` (built in-process) or ``"mmap"`` (warm start).
         self.mode = result.mode
-        self.workers = result.workers
         self.shared_seconds = result.shared_seconds
         self.notes = list(result.notes)
         #: TieBreakingDioid fragments rank under (canonical mode only).
@@ -158,7 +160,6 @@ class ShardedPhysical(PhysicalPlan):
             "strategy": self.shard_plan.spec.strategy,
             "tie_break": self.shard_plan.spec.tie_break,
             "mode": self.mode,
-            "workers": self.workers,
             "empty_fragments": sum(1 for f in self.fragments if f.empty),
             "fragment_states": [f.anchor_states() for f in self.fragments],
             "fragment_entries": [
@@ -188,13 +189,8 @@ def bind_sharded(
     arrays exactly as the cold build's fragments alias its in-process
     lists, so ranked output is bit-identical.  Sharding is still
     *planned* (cheap, metadata-only) — the stored cores are validated
-    against the fresh plan's anchor stage and fragment count.
-
-    An *explicitly* requested build mode (``parallel="fused"`` or
-    ``"thread"``) always builds with that mode: the warm start only
-    replaces the build under the default ``"auto"`` policy, where the
-    engine is free to pick the fastest path.  Cold ``auto`` builds
-    still write the core so the next process can warm-start.
+    against the fresh plan's anchor stage and fragment count.  A cold
+    build writes the core so the next process can warm-start.
     """
     spec = logical.shard
     flat_path = (
@@ -209,7 +205,7 @@ def bind_sharded(
             anchor_atom=shard_plan.anchor_atom,
         )
     slot = CoreSlot(
-        core_cache if flat_path and spec.parallel == "auto" else None,
+        core_cache if flat_path else None,
         logical,
         database,
         shard_plan.join_tree,
@@ -226,7 +222,6 @@ def bind_sharded(
         result = PreprocessResult(
             fragments,
             "mmap",
-            shard_plan.workers,
             0.0,
             list(shard_plan.notes) + ["warm start from compiled core file"],
             None,
@@ -236,7 +231,7 @@ def bind_sharded(
         result = ParallelPreprocessor(
             database, logical, shard_plan, tracer=tracer
         ).build()
-        span.set(mode=result.mode, workers=result.workers)
+        span.set(mode=result.mode)
     if result.fragments and all(f.compiled is not None for f in result.fragments):
         slot.store([f.compiled for f in result.fragments])
     return ShardedPhysical(logical, database, shard_plan, result)

@@ -354,8 +354,8 @@ def _named_dioid(name: str) -> "SelectiveDioid":
     """Pickle hook: resolve a registry name back to the shared instance.
 
     The engine keys plan caches on dioid *identity*, so a dioid that
-    crosses a process boundary (the parallel preprocessor's worker pool
-    pickles fragment T-DPs back to the parent) must unpickle to the very
+    crosses a process boundary (a pickled fragment T-DP or compiled
+    core) must unpickle to the very
     singleton the registry hands out — not to a fresh equal-but-distinct
     instance.
     """

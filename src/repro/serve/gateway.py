@@ -14,9 +14,8 @@ protocol cannot give:
 * **Observability**: a ``/metrics`` endpoint exposing engine cache and
   compiled-core counters (``stream_hits``/``misses``, ``core_hits``),
   session/eviction counts, admission counters, tracer stats, and
-  rolling p50/p95/p99 fetch latency (a
-  :class:`~repro.obs.latency.LatencyWindow` over the
-  :class:`~repro.obs.latency.LatencyStats` machinery) — as JSON, or as
+  p50/p95/p99 fetch latency (estimated from the
+  ``repro_fetch_latency_seconds`` histogram) — as JSON, or as
   Prometheus text exposition via content negotiation (``Accept:
   text/plain`` or ``?format=prometheus``).  Structured JSON request
   logging on ``repro.serve.gateway`` carries a per-request
@@ -62,7 +61,6 @@ from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 from repro.engine.engine import Engine
-from repro.obs.latency import LatencyWindow
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.top import debug_html
 from repro.obs.trace import new_request_id
@@ -255,6 +253,12 @@ class GatewayServer:
     running :class:`~repro.serve.server.ServeServer`; otherwise a
     private manager is built over ``engine`` with the same knobs the
     TCP server takes.
+
+    Every HTTP and WebSocket fetch is timed once, into the
+    ``repro_fetch_latency_seconds`` histogram.  The ``/metrics`` JSON
+    ``latency.fetch`` percentiles are estimated from its buckets
+    (linear interpolation, as Prometheus ``histogram_quantile`` does),
+    so they cover the gateway's whole lifetime, not a recent window.
     """
 
     def __init__(
@@ -269,7 +273,6 @@ class GatewayServer:
         result_budget: int | None = None,
         slice_size: int = 64,
         max_frame_bytes: int = 1 << 20,
-        latency_window: int = 2048,
         log_requests: bool = True,
         drain_s: float = 0.0,
     ):
@@ -299,8 +302,6 @@ class GatewayServer:
         #: engine spans created while dispatching nest under them and
         #: the whole request is one trace (request-ID propagation).
         self.tracer = self.engine.tracer
-        #: Rolling fetch-latency window surfaced by ``/metrics``.
-        self.fetch_latency = LatencyWindow(latency_window)
         self._server: asyncio.AbstractServer | None = None
         self.started_at = time.time()
         self.http_requests = Counter(
@@ -315,8 +316,8 @@ class GatewayServer:
         #: Requests currently inside dispatch (drain watches this).
         #: A plain int (goes down as well as up); exported as a gauge.
         self.active_requests = 0
-        #: Cumulative fetch-latency histogram (Prometheus ``le`` buckets)
-        #: alongside the rolling window's percentiles.
+        #: Cumulative fetch-latency histogram (Prometheus ``le`` buckets);
+        #: the ``/metrics`` JSON percentiles are read from it.
         self.fetch_latency_histogram = Histogram(
             "repro_fetch_latency_seconds",
             "End-to-end fetch latency at the gateway.",
@@ -782,7 +783,6 @@ class GatewayServer:
         elapsed = time.perf_counter() - started
         is_fetch = wire_request["op"] == "fetch"
         if is_fetch:
-            self.fetch_latency.record(elapsed)
             self.fetch_latency_histogram.observe(elapsed)
         terminator = collector.last or protocol.error(
             protocol.ERR_INTERNAL, "op produced no response"
@@ -947,13 +947,26 @@ class GatewayServer:
                     self.active_requests -= 1
                 if wire_request.get("op") == "fetch":
                     elapsed = time.perf_counter() - started
-                    self.fetch_latency.record(elapsed)
                     self.fetch_latency_histogram.observe(elapsed)
                 await writer.drain()
         except (BrokenPipeError, asyncio.CancelledError):
             pass
 
     # -- observability ---------------------------------------------------------
+
+    def _fetch_latency(self) -> dict:
+        """Lifetime fetch-latency summary from the histogram (ms)."""
+        histogram = self.fetch_latency_histogram
+        count = histogram.count
+        p50, p95, p99 = histogram.quantiles((0.50, 0.95, 0.99))
+        return {
+            "count": count,
+            "total": count,
+            "p50_ms": round(p50 * 1e3, 3),
+            "p95_ms": round(p95 * 1e3, 3),
+            "p99_ms": round(p99 * 1e3, 3),
+            "mean_ms": round(histogram.sum / count * 1e3, 3) if count else 0.0,
+        }
 
     def metrics(self) -> dict:
         """The ``/metrics`` JSON payload (also what ``repro top`` polls)."""
@@ -980,7 +993,7 @@ class GatewayServer:
             },
             "policy": self.policy.snapshot(),
             "latency": {
-                "fetch": self.fetch_latency.snapshot(),
+                "fetch": self._fetch_latency(),
                 "fetch_histogram": self.fetch_latency_histogram.snapshot(),
             },
             "sessions": {

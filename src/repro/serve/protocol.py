@@ -12,11 +12,10 @@ Every request carries ``op`` plus op-specific fields:
     ``"shards": N`` binds through the parallel execution layer
     (fragment-sharded T-DPs merged by a ranked k-way merge; see
     :mod:`repro.parallel`), with optional ``shard_tie_break``
-    (``"arrival"``/``"canonical"``), ``shard_strategy``
-    (``"range"``/``"hash"``), and ``shard_parallel`` (``"auto"``/
-    ``"fused"``/``"thread"``) refinements; the
-    per-session ``stats`` entries then report the cursor's shard
-    configuration.
+    (``"arrival"``/``"canonical"``) and ``shard_strategy``
+    (``"range"``/``"hash"``) refinements; the per-session ``stats``
+    entries then report the cursor's shard configuration.  Fields the
+    protocol does not define are ignored.
 
 ``fetch``
     ``{"op": "fetch", "session": "s1", "cursor": "c0", "n": 10}`` →

@@ -69,8 +69,8 @@ class _Counters:
 
 
 #: Process-wide recovery counters (``retries_<label>`` per retrier).
-#: Exported on ``/metrics`` under ``resilience`` and mirrored into
-#: ``EngineStats.retries``.
+#: Exported on ``/metrics`` under ``resilience`` and as
+#: ``repro_resilience_events_total{event=}``.
 COUNTERS = _Counters()
 
 

@@ -214,7 +214,6 @@ class OpDispatcher:
             shards=shards,
             shard_tie_break=request.get("shard_tie_break", "arrival"),
             shard_strategy=request.get("shard_strategy", "range"),
-            shard_parallel=request.get("shard_parallel", "auto"),
             deadline_ms=deadline_ms,
         )
         cursor = session.cursor(cursor_id)

@@ -385,7 +385,6 @@ class SessionManager:
         shards: int | None = None,
         shard_tie_break: str = "arrival",
         shard_strategy: str = "range",
-        shard_parallel: str = "auto",
         deadline_ms: float | None = None,
     ) -> tuple[Session, str]:
         """Prepare ``query`` in the session; returns its new cursor id.
@@ -412,7 +411,6 @@ class SessionManager:
             shards=shards,
             shard_tie_break=shard_tie_break,
             shard_strategy=shard_strategy,
-            shard_parallel=shard_parallel,
         )
         cursor = prepared.cursor(budget=budget)
         with self._lock:

@@ -8,8 +8,7 @@ of the fragment builder.  These tests pin what that must preserve:
   the sequence of the object-graph reference
   (``make_enumerator(build_tdp(...), flat=False)``), ties included;
 * the bind never builds an object T-DP nor runs the object compiler;
-* the retired process-pool mode is rejected like any unknown mode, and
-  ``Engine.prepare`` resolves dioid registry names.
+* ``Engine.prepare`` resolves dioid registry names.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from repro.data.relation import Relation
 from repro.dp.builder import build_tdp
 from repro.dp.flat import CompiledTDP
 from repro.engine import Engine
-from repro.parallel.sharder import ShardSpec
 from repro.query.jointree import build_join_tree
 from repro.query.parser import parse_query
 from repro.ranking.dioid import MAX_PLUS, NAMED_DIOIDS, TROPICAL
@@ -166,10 +164,6 @@ class TestNoObjectBuild:
 
 
 class TestModesAndNames:
-    def test_process_parallel_mode_is_gone(self):
-        with pytest.raises(ValueError, match="unknown parallel mode 'process'"):
-            ShardSpec(2, parallel="process")
-
     def test_prepare_resolves_dioid_names(self):
         engine = Engine(tie_heavy_database())
         by_name = engine.prepare(TREE, dioid="max-plus")

@@ -180,16 +180,6 @@ class TestPrepareReporting:
         assert body["error"] == "bad_query"
         assert body["message"] == "no relation named 'F' in database"
 
-    def test_process_shard_mode_is_a_typed_error(self, gateway):
-        status, body = post_json(
-            gateway, "/v1/prepare",
-            {"session": "proc", "query": QUERY, "shards": 2,
-             "shard_parallel": "process"},
-        )
-        assert status == 400
-        assert body["error"] == "bad_query"
-        assert "unknown parallel mode 'process'" in body["message"]
-
 
 class TestRequestFraming:
     PREPARE = json.dumps({"session": "frame", "query": QUERY}).encode()

@@ -99,6 +99,20 @@ class TestHistogram:
         assert cumulative[1.0] == 3
         assert cumulative[10.0] == 4  # 50.0 only lands in +Inf
 
+    def test_quantiles_interpolate_within_buckets(self):
+        hist = Histogram("repro_test_seconds", buckets=(0.1, 1.0, 10.0))
+        assert hist.quantiles((0.5,)) == [0.0]  # empty
+        for value in (0.05, 0.5, 0.5, 5.0, 50.0):
+            hist.observe(value)
+        # Bucket counts 1, 2, 1 and one overflow; rank = q * 5.
+        p20, p50, p70, p99 = hist.quantiles((0.2, 0.5, 0.7, 0.99))
+        assert p20 == pytest.approx(0.1)  # first bucket starts at 0
+        assert p50 == pytest.approx(0.1 + 0.9 * 1.5 / 2)
+        assert p70 == pytest.approx(1.0 + 9.0 * 0.5)
+        assert p99 == 10.0  # +Inf bucket: highest finite bound
+        with pytest.raises(ValueError):
+            hist.quantiles((0.0,))
+
     def test_samples_shape(self):
         hist = Histogram("repro_test_seconds", buckets=(1.0,))
         hist.observe(0.5)

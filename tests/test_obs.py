@@ -15,7 +15,6 @@ from repro.data.generators import uniform_database
 from repro.engine import Engine
 from repro.obs import (
     LatencyStats,
-    LatencyWindow,
     NULL_SPAN,
     NULL_TRACER,
     Tracer,
@@ -25,7 +24,6 @@ from repro.obs import (
     delay_profile,
     new_request_id,
     percentile,
-    prometheus_text,
     tracer_from_option,
     write_chrome_trace,
 )
@@ -413,49 +411,6 @@ class TestExporters:
             e["name"] == "alpha" for e in document["traceEvents"]
         )
 
-    def test_prometheus_text_shape(self):
-        metrics = {
-            "http": {"requests": 7, "ws_connections": 0},
-            "latency": {"fetch": {"p99_ms": 1.25}},
-            "ok": True,
-            "name": "ignored-string",
-            "list": [1, 2, 3],
-        }
-        text = prometheus_text(metrics)
-        lines = text.strip().splitlines()
-        assert "# TYPE repro_http_requests gauge" in lines
-        assert "repro_http_requests 7" in lines
-        assert "repro_latency_fetch_p99_ms 1.25" in lines
-        assert "repro_ok 1" in lines
-        assert not any("ignored" in line for line in lines)
-        assert not any("list" in line for line in lines)
-        assert text.endswith("\n")
-        # Deterministic ordering: value lines arrive sorted by name.
-        value_lines = [l for l in lines if not l.startswith("#")]
-        assert value_lines == sorted(value_lines)
-
-    def test_prometheus_text_empty(self):
-        assert prometheus_text({}) == ""
-
-    def test_prometheus_text_name_collisions_deduped(self):
-        # Two distinct paths flatten to the same metric name; emitting
-        # the name (and its # TYPE line) twice is invalid exposition.
-        from repro.obs.metrics import validate_exposition
-
-        metrics = {"a": {"b_c": 1}, "a_b": {"c": 2}, "x y": 3, "x_y": 4}
-        text = prometheus_text(metrics)
-        lines = text.strip().splitlines()
-        names = [l.split()[2] for l in lines if l.startswith("# TYPE")]
-        assert len(names) == len(set(names)) == 4
-        assert validate_exposition(text) == []
-        # Deterministic: the lexicographically-smaller path keeps the
-        # bare name and the collider gets a stable suffix.
-        assert "repro_a_b_c 1" in lines
-        assert "repro_a_b_c_2 2" in lines
-        assert "repro_x_y 3" in lines
-        assert "repro_x_y_2 4" in lines
-        assert prometheus_text(metrics) == text
-
     def test_chrome_trace_stable_small_tids(self):
         tracer = Tracer(sample="always")
         with tracer.span("solo"):
@@ -487,7 +442,6 @@ class TestLatencySharing:
         from repro.experiments import runner
 
         assert runner.LatencyStats is LatencyStats
-        assert runner.LatencyWindow is LatencyWindow
         assert runner.percentile is percentile
 
     def test_delay_profile_values(self):
@@ -499,15 +453,6 @@ class TestLatencySharing:
         empty = delay_profile([])
         assert empty["produced"] == 0
         assert empty["ttf_ms"] == 0.0
-
-    def test_latency_window_rolls(self):
-        window = LatencyWindow(maxlen=4)
-        for value in (0.1, 0.2, 0.3, 0.4, 0.5):
-            window.record(value)
-        snap = window.snapshot()
-        assert snap["count"] == 4
-        assert snap["total"] == 5
-        assert snap["p50_ms"] == pytest.approx(300.0)
 
 
 # -- gateway: negotiation, request ids, spans ----------------------------------

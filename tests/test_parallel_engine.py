@@ -1,4 +1,4 @@
-"""Parallel layer: sharder planning, engine caching, preprocessor modes.
+"""Parallel layer: sharder planning, engine caching, the fragment build.
 
 Covers the engine-integration guarantees of the sharding subsystem:
 
@@ -8,8 +8,9 @@ Covers the engine-integration guarantees of the sharding subsystem:
 * sharded binds share physical plans across algorithms and invalidate
   under the existing database-version stamp scheme;
 * the anchor heuristic, fragment layout, and explain output;
-* thread/process preprocessor modes build bit-identical fragments, and
-  the compiled cores (and singleton dioids) survive pickling.
+* sharded binds build in-process (no thread pool, whatever the host's
+  core count) and warm-start from ``.core``, and the compiled cores
+  (and singleton dioids) survive pickling.
 """
 
 import pickle
@@ -50,10 +51,6 @@ class TestShardSpec:
             ShardSpec(2, strategy="mod")
         with pytest.raises(ValueError):
             ShardSpec(2, tie_break="random")
-        with pytest.raises(ValueError):
-            ShardSpec(2, parallel="gpu")
-        with pytest.raises(ValueError):
-            ShardSpec(2, workers=0)
 
     def test_hashable_and_distinct(self):
         assert ShardSpec(2) == ShardSpec(2)
@@ -242,60 +239,31 @@ class TestMergeCounterAttribution:
 
 
 class TestPreprocessorModes:
-    # Fresh engine per mode: the engine's caches key on the spec's
-    # *result identity* only, so a second prepare with a different
-    # build-mode hint would (deliberately) reuse the first bind.
+    def test_sqlite_shards_build_fused_without_a_pool(self, tmp_path, monkeypatch):
+        """A many-core host still builds SQLite shards in-process, and a
+        second engine over the same file warm-starts from ``.core``."""
+        import concurrent.futures
+        import os
 
-    @pytest.mark.parametrize("mode", ["thread"])
-    def test_worker_modes_match_fused_memory(self, mode):
-        database = uniform_database(3, 120, seed=21)
-        fused = signature(
-            Engine(database)
-            .prepare(QUERY, shards=4, shard_parallel="fused")
-            .iter()
-        )
-        physical = (
-            Engine(database)
-            .prepare(QUERY, shards=4, shard_parallel=mode)
-            .bind()
-        )
-        if physical.mode != mode:  # pool unavailable -> graceful fallback
-            assert any("fell back" in note or "downgraded" in note
-                       for note in physical.notes)
-        assert signature(physical.iter()) == fused
+        def no_pool(*args, **kwargs):
+            raise AssertionError("sharded builds must not start a thread pool")
 
-    @pytest.mark.parametrize("mode", ["thread"])
-    def test_worker_modes_match_fused_sqlite(self, tmp_path, mode):
-        backend = SQLiteBackend(str(tmp_path / "modes.db"))
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        path = str(tmp_path / "modes.db")
+        backend = SQLiteBackend(path)
         for relation in uniform_database(3, 120, seed=21):
             backend.ingest(relation)
-        database = backend.database()
-        fused = signature(
-            Engine(database)
-            .prepare(QUERY, shards=4, shard_parallel="fused")
-            .iter()
-        )
-        physical = (
-            Engine(database)
-            .prepare(QUERY, shards=4, shard_parallel=mode)
-            .bind()
-        )
-        if physical.mode != mode:  # pragma: no cover - env-dependent
-            assert any("fell back" in note or "downgraded" in note
-                       for note in physical.notes)
-        assert signature(physical.iter()) == fused
         backend.close()
-
-    def test_parallel_hint_shares_bind_and_stream(self, engine):
-        """parallel/workers are build mechanics, not result identity."""
-        a = engine.prepare(QUERY, shards=4)
-        first = a.top(5)
-        binds = engine.stats.binds
-        b = engine.prepare(QUERY, shards=4, shard_parallel="thread",
-                           shard_workers=2)
-        assert b.top(5) == first
-        assert engine.stats.binds == binds  # no second preprocessing
-        assert a.physical_key == b.physical_key
+        with Engine.from_backend(SQLiteBackend(path)) as engine:
+            unsharded = signature(engine.prepare(QUERY).iter())
+            physical = engine.prepare(QUERY, shards=4).bind()
+            assert physical.mode == "fused"
+            assert signature(physical.iter()) == unsharded
+        with Engine.from_backend(SQLiteBackend(path)) as engine:
+            warm = engine.prepare(QUERY, shards=4).bind()
+            assert warm.mode == "mmap"
+            assert signature(warm.iter()) == unsharded
 
 
 class TestPicklability:

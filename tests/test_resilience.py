@@ -226,9 +226,15 @@ class TestSqliteBusyStorm:
         with faults.injected("sqlite.execute=raise:2:3:busy"):
             results = list(engine.prepare(path_query(3)).iter())
         assert signature(results) == signature(baseline)
-        assert COUNTERS.get("retries_sqlite") >= 1
+        absorbed = COUNTERS.get("retries_sqlite")
+        assert absorbed >= 1
+        # A clean bind on a second engine over the same file adds no
+        # recovery events: the counter reads only the storm's retries.
         engine2 = Engine(sqlite.database(), core_cache="off")
-        assert engine2.stats.retries == 0  # fresh engine, fresh mirror
+        assert signature(engine2.prepare(path_query(3)).iter()) == (
+            signature(baseline)
+        )
+        assert COUNTERS.get("retries_sqlite") == absorbed
 
     def test_persistent_lock_still_raises(self, db, tmp_path):
         import sqlite3
@@ -522,7 +528,7 @@ class TestZeroFaultParity:
         assert results  # the query ran
         assert faults.counters() == {"hits": {}, "fired": {}}
         assert COUNTERS.snapshot() == {}
-        assert engine.stats.retries == 0
+        assert COUNTERS.get("retries_sqlite") == 0
 
     def test_wire_terminator_unchanged_without_deadline(self, db):
         with ServerThread(Engine(db), slice_size=8) as address:
